@@ -22,6 +22,7 @@ from .channel import (
 from .codec import (
     CodeBook,
     DecodeOutcome,
+    decode,
     encode,
     enumerate_codewords,
     margin_sense,

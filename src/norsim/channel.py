@@ -171,26 +171,17 @@ def _sample_mixture(centers, noise: NoiseModel, gen: np.random.Generator):
     Consumes a fixed number of variates per element regardless of outcome,
     so draw sequences are reproducible independent of the sampled values.
     """
-    shape = np.shape(centers)
-    u_mix = gen.random(shape)
-    u_side = gen.random(shape)
-    u_pos = gen.random(shape)
-    mag = gen.exponential(1.0 / (2.0 * noise.a), shape)
-    side = np.where(u_side < 0.5, -1.0, 1.0)
-    interior = centers + noise.width * (u_pos - 0.5)
-    tails = centers + side * (noise.width / 2.0 + mag)
-    return np.where(u_mix < noise.tail, tails, interior)
+    u_mix = gen.random(np.shape(centers))
+    v, _ = _sample_conditioned(centers, u_mix < noise.tail, noise, gen)
+    return v
 
 
 def _sample_conditioned(centers, tail_mask, noise: NoiseModel, gen: np.random.Generator):
     """Draw reads with the tail/interior split forced by ``tail_mask``.
 
     Returns (voltages, sides) with side -1/+1 for tail draws and 0 for
-    interior draws.  Interior draws require width > 0.
+    interior draws; at width 0 an interior draw is the level voltage.
     """
-    tail_mask = np.asarray(tail_mask, dtype=bool)
-    if noise.width == 0.0 and not tail_mask.all():
-        raise ValueError("interior draws are undefined for width == 0")
     shape = np.shape(centers)
     u_side = gen.random(shape)
     u_pos = gen.random(shape)
@@ -232,8 +223,8 @@ def sample_read_conditioned(
 
     Mixing these conditionals with weights tail/(1-tail) reproduces the
     unconditioned read law exactly.  Returns (voltage, side) where side is
-    -1/+1 for tail draws and 0 for interior draws.  force_tail=False with
-    width == 0 is a domain error (the interior is a point mass).
+    -1/+1 for tail draws and 0 for interior draws.  With width == 0 the
+    interior is a point mass, so force_tail=False returns the level voltage.
     """
     _check_pair(grid, noise)
     centers = grid.level_voltage(level_index)

@@ -280,18 +280,22 @@ def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
         delta0=a_delta0,
         protected=_resolve(args, "protected", True, bool),
         trials=int(_resolve(args, "trials", 1_000_000, float)),
-        seed=int(_resolve(args, "seed", 0, float)),
-        shards=int(_resolve(args, "shards", 1, float)),
+        seed=_resolve(args, "seed", 0, int),
+        shards=_resolve(args, "shards", 1, int),
         stratified=_resolve(args, "stratified", False, bool),
         data_mode=_resolve(args, "data_mode", "uniform", str),
         subtrials_per_stratum=int(subtrials) if subtrials else None,
     )
 
 
+def _estimate(config: SimConfig):
+    return run_stratified(config) if config.stratified else run_trials(config)
+
+
 def cmd_simulate(args) -> dict:
     ad0, aw, tail = _resolve_point(args)
     config = _sim_config(args, ad0, aw, tail)
-    est = run_stratified(config) if config.stratified else run_trials(config)
+    est = _estimate(config)
     doc = estimate_to_dict(est, config)
     point = config.point()
     nbits = est.trials * 8
@@ -371,7 +375,7 @@ def cmd_sweep(args) -> dict:
         sim = []
         for row in rows:
             config = _sim_config(args, row["a_delta0"], aw, tail)
-            est = run_trials(config)
+            est = _estimate(config)
             row["e2_simulated"] = est.event_rate_per_bit
             row["ci95_lo"], row["ci95_hi"] = est.ci95
             sim.append(est.event_rate_per_bit)

@@ -5,9 +5,17 @@ even; adjacent codewords then differ by Manhattan distance >= 2.  For 5
 levels there are (5**4 + 1) / 2 = 313 codewords, enough to map all 256
 byte values while keeping 2 bits/cell of payload.
 
-Decoding: margin-sense each cell to the nearest level, check parity, and
-on failure pick the L1-nearest codeword among those whose symbol sum is
-one off the sensed sum.
+Decoding: margin-sense each cell to the nearest level and check parity.
+On failure, move to the L1-nearest codeword whose symbol sum is one off
+the sensed sum.  That codeword is always the sensed word with one cell
+moved one level.  The L1 distance is a sum of per-cell costs, each convex
+in the cell's level and smallest at its sensed level, which is the
+nearest level of the grid.  A codeword with sum s +/- 1 moves some cell
+at least one level in that direction, and that one-level move alone
+costs no more than the whole word.  So the decoder takes the single move
+with the smallest flip cost ``|t - (x +/- 1)| - |t - x|`` in pitch units,
+``t`` being the cell's read and ``x`` its sensed level; inside the grid
+this is ``1 - 2 * |t - x|`` toward the nearer boundary and 1 away from it.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .channel import LevelGrid
 __all__ = [
     "CodeBook",
     "DecodeOutcome",
+    "decode",
     "enumerate_codewords",
     "encode",
     "margin_sense",
@@ -70,10 +79,6 @@ class CodeBook:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
-    def word_sums(self) -> np.ndarray:
-        return self.words.sum(axis=1)
-
     def index_of(self, word) -> int | None:
         return self._index.get(tuple(int(x) for x in word))
 
@@ -108,7 +113,8 @@ def margin_sense(read, grid: LevelGrid):
     v = np.asarray(read, dtype=float)
     t = (v - grid.l0) / grid.pitch
     sensed = np.ceil(t - 0.5).astype(np.int64)
-    return np.clip(sensed, 0, grid.n_levels - 1)
+    # np.clip costs several times more than this on one 4-cell word
+    return np.minimum(np.maximum(sensed, 0), grid.n_levels - 1)
 
 
 def _l1_distances(read, grid: LevelGrid, words: np.ndarray) -> np.ndarray:
@@ -117,28 +123,62 @@ def _l1_distances(read, grid: LevelGrid, words: np.ndarray) -> np.ndarray:
     return np.abs(v[None, :] - level_v).sum(axis=1)
 
 
+# The 8 one-level moves: down on cells 0..3, then up on cells 3..0.  Applied
+# to one word they give its neighbours in lexicographic order, so the first
+# minimum-cost move is the lexicographically lowest nearest codeword.
+_MOVE_CELL = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+_MOVE_STEP = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
+
+
+def decode(reads, grid: LevelGrid):
+    """Decode read voltages of shape (m, 4) -> (sensed, decoded, parity_passed).
+
+    Parity-passing rows decode to their sensed word.  Each parity-failing
+    row decodes to the L1-nearest codeword with symbol sum one off the
+    sensed sum, reached by the cheapest one-cell, one-level move; distance
+    ties (measure zero under continuous noise) break to the
+    lexicographically lowest word.
+    """
+    v = np.asarray(reads, dtype=float)
+    if v.ndim != 2 or v.shape[1] != N_CELLS:
+        raise ValueError(f"reads must have shape (m, {N_CELLS}), got {v.shape}")
+    sensed = margin_sense(v, grid)
+    passed = sensed.sum(axis=1) % 2 == 0
+    decoded = sensed.copy()
+    if not passed.all():  # spares read_byte's common parity-pass case
+        fail = np.flatnonzero(~passed)
+        t = ((v[fail] - grid.l0) / grid.pitch)[:, _MOVE_CELL]
+        s = sensed[fail][:, _MOVE_CELL]
+        moved = s + _MOVE_STEP
+        cost = np.abs(t - moved) - np.abs(t - s)
+        cost[(moved < 0) | (moved >= grid.n_levels)] = np.inf
+        best = cost.argmin(axis=1)
+        decoded[fail, _MOVE_CELL[best]] += _MOVE_STEP[best]
+    return sensed, decoded, passed
+
+
+def _one_read(read) -> np.ndarray:
+    v = np.asarray(read, dtype=float)
+    if v.shape != (N_CELLS,) or not np.isfinite(v).all():
+        raise ValueError(f"read vector must be {N_CELLS} finite voltages")
+    return v
+
+
 def soft_correct(read, sensed, grid: LevelGrid, book: CodeBook) -> tuple:
     """L1-nearest codeword among those with symbol sum = sensed sum +/- 1.
 
-    Requires a parity-failing ``sensed`` word.  Distance ties (measure zero
-    under continuous noise) break to the lexicographically lowest word.
+    ``sensed`` must be ``margin_sense(read, grid)`` and fail parity.
+    Distance ties (measure zero under continuous noise) break to the
+    lexicographically lowest word.  ``book`` is unused and kept for
+    signature compatibility.
     """
-    word, _ = _soft_correct_with_distance(read, sensed, grid, book)
-    return word
-
-
-def _soft_correct_with_distance(read, sensed, grid, book):
-    if parity_ok(sensed):
+    v = _one_read(read)
+    s, decoded, passed = decode(v[None], grid)
+    if not np.array_equal(s[0], sensed):
+        raise ValueError("sensed word is not the margin-sensed read")
+    if passed[0]:
         raise ValueError("soft correction requires a parity-failing sensed word")
-    s = int(np.asarray(sensed).sum())
-    sums = book.word_sums
-    mask = (sums == s - 1) | (sums == s + 1)
-    if not mask.any():
-        raise AssertionError(f"no candidate codewords for sensed sum {s}")
-    dist = _l1_distances(read, grid, book.words)
-    dist = np.where(mask, dist, np.inf)
-    i = int(np.argmin(dist))
-    return tuple(int(x) for x in book.words[i]), float(dist[i])
+    return tuple(decoded[0].tolist())
 
 
 def oracle_nearest(read, grid: LevelGrid, book: CodeBook) -> tuple:
@@ -175,23 +215,22 @@ class DecodeOutcome:
 
 def read_byte(read, grid: LevelGrid, book: CodeBook) -> DecodeOutcome:
     """Full read path: margin sense, parity check, soft correction."""
-    v = np.asarray(read, dtype=float)
-    if v.shape != (N_CELLS,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"read vector must be {N_CELLS} finite voltages")
-    sensed = tuple(int(x) for x in margin_sense(v, grid))
-    if parity_ok(sensed):
+    v = _one_read(read)
+    sensed, decoded, passed = decode(v[None], grid)
+    sensed_word = tuple(sensed[0].tolist())
+    if passed[0]:
         return DecodeOutcome(
-            sensed=sensed,
+            sensed=sensed_word,
             parity_passed=True,
             corrected=None,
-            byte=book.byte_for_word(sensed),
+            byte=book.byte_for_word(sensed_word),
             decoder_distance=None,
         )
-    word, dist = _soft_correct_with_distance(v, sensed, grid, book)
+    word = tuple(decoded[0].tolist())
     return DecodeOutcome(
-        sensed=sensed,
+        sensed=sensed_word,
         parity_passed=False,
         corrected=word,
         byte=book.byte_for_word(word),
-        decoder_distance=dist,
+        decoder_distance=float(_l1_distances(v, grid, decoded)[0]),
     )

@@ -17,7 +17,7 @@ all-interior stratum is accounted analytically as error-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,7 +32,7 @@ from .channel import (
     five_level_grid,
     four_level_grid,
 )
-from .codec import N_CELLS, CodeBook, DecodeOutcome, margin_sense
+from .codec import N_CELLS, CodeBook, DecodeOutcome, decode, margin_sense
 
 __all__ = [
     "ErrorClass",
@@ -50,7 +50,6 @@ __all__ = [
 BITS_PER_WORD = 8  # N_CELLS cells * 2 payload bits per cell
 
 _BATCH = 1 << 20
-_CORRECTION_CHUNK = 50_000
 
 _Z95 = 1.959963984540054
 
@@ -183,6 +182,31 @@ def confidence_interval(events: float, trials: int, z: float = _Z95) -> tuple[fl
     return (lo, hi)
 
 
+def _classify(written, decoded, parity_passed, protected: bool = True) -> np.ndarray:
+    """Class codes 0..4 per row of (m, 4) words, indexing _CLASS_ORDER.
+
+    Unprotected decodes have no parity check, so every error is OTHER.
+    """
+    diff = decoded - written
+    err = (diff != 0).any(axis=1)
+    cls = np.zeros(len(written), dtype=np.int8)
+    if not protected:
+        cls[err] = 4
+        return cls
+    cls[err & parity_passed] = 1
+    corrected = err & ~parity_passed
+    nz = (diff != 0).sum(axis=1)
+    dmax = diff.max(axis=1)
+    dmin = diff.min(axis=1)
+    absmax = np.maximum(dmax, -dmin)
+    is_ii = corrected & (nz == 1) & (absmax == 2)
+    is_iii = corrected & (nz == 2) & (dmax == 1) & (dmin == -1)
+    cls[is_ii] = 2
+    cls[is_iii] = 3
+    cls[corrected & ~is_ii & ~is_iii] = 4
+    return cls
+
+
 class _Engine:
     """Vectorized write/read/decode pipeline bound to one configuration."""
 
@@ -194,14 +218,6 @@ class _Engine:
         if config.protected:
             self.book = CodeBook.build(n)
             words = self.book.words
-            self.words = words
-            self.word_levels = self.grid.l0 + self.grid.pitch * words
-            sums = words.sum(axis=1)
-            max_sum = N_CELLS * (n - 1)
-            allowed = np.zeros((max_sum + 1, len(words)), dtype=bool)
-            for s in range(1, max_sum + 1, 2):
-                allowed[s] = (sums == s - 1) | (sums == s + 1)
-            self.allowed_by_sum = allowed
             radix = self._radix(words)
             self.byte_lut = np.full(n**N_CELLS, -1, dtype=np.int64)
             self.byte_lut[radix[:256]] = np.arange(256)
@@ -231,45 +247,16 @@ class _Engine:
 
     def decode(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode read voltages (m, 4) -> (decoded words, parity_passed)."""
-        sensed = margin_sense(v, self.grid)
         if not self.config.protected:
-            return sensed, np.ones(len(sensed), dtype=bool)
-        sums = sensed.sum(axis=1)
-        passed = (sums % 2) == 0
-        decoded = sensed.copy()
-        fail = np.nonzero(~passed)[0]
-        for lo in range(0, len(fail), _CORRECTION_CHUNK):
-            rows = fail[lo : lo + _CORRECTION_CHUNK]
-            vi = v[rows]
-            dist = np.zeros((len(rows), len(self.words)))
-            for j in range(N_CELLS):
-                dist += np.abs(vi[:, j, None] - self.word_levels[None, :, j])
-            dist[~self.allowed_by_sum[sums[rows]]] = np.inf
-            decoded[rows] = self.words[dist.argmin(axis=1)]
+            return margin_sense(v, self.grid), np.ones(len(v), dtype=bool)
+        _, decoded, passed = decode(v, self.grid)
         return decoded, passed
 
     def classify(
         self, written: np.ndarray, decoded: np.ndarray, parity_passed: np.ndarray
     ) -> np.ndarray:
         """Class codes 0..4 per trial, indexing _CLASS_ORDER."""
-        diff = decoded - written
-        err = (diff != 0).any(axis=1)
-        cls = np.zeros(len(written), dtype=np.int8)
-        if not self.config.protected:
-            cls[err] = 4
-            return cls
-        cls[err & parity_passed] = 1
-        corrected = err & ~parity_passed
-        nz = (diff != 0).sum(axis=1)
-        dmax = diff.max(axis=1)
-        dmin = diff.min(axis=1)
-        absmax = np.maximum(dmax, -dmin)
-        is_ii = corrected & (nz == 1) & (absmax == 2)
-        is_iii = corrected & (nz == 2) & (dmax == 1) & (dmin == -1)
-        cls[is_ii] = 2
-        cls[is_iii] = 3
-        cls[corrected & ~is_ii & ~is_iii] = 4
-        return cls
+        return _classify(written, decoded, parity_passed, self.config.protected)
 
     def hamming_bits(self, written: np.ndarray, decoded: np.ndarray) -> np.ndarray:
         """Payload bit flips per trial."""
@@ -283,19 +270,12 @@ class _Engine:
 
 def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
     """Classify one decode of ``written`` into the error taxonomy."""
-    w = np.asarray(written, dtype=np.int64)
-    d = np.asarray(outcome.word, dtype=np.int64)
-    diff = d - w
-    if not diff.any():
-        return ErrorClass.NONE
-    if outcome.parity_passed:
-        return ErrorClass.TYPE_I
-    nz = int((diff != 0).sum())
-    if nz == 1 and np.abs(diff).max() == 2:
-        return ErrorClass.TYPE_II
-    if nz == 2 and diff.max() == 1 and diff.min() == -1:
-        return ErrorClass.TYPE_III
-    return ErrorClass.OTHER
+    code = _classify(
+        np.asarray(written, dtype=np.int64)[None],
+        np.asarray(outcome.word, dtype=np.int64)[None],
+        np.array([outcome.parity_passed]),
+    )
+    return _CLASS_ORDER[code[0]]
 
 
 def _shard_sizes(trials: int, shards: int) -> list[int]:
@@ -450,42 +430,10 @@ def variance_reduction_factor(est: BerEstimate) -> float:
 
 def estimate_to_dict(est: BerEstimate, config: SimConfig) -> dict:
     """JSON-ready document: the estimate plus the full configuration echo."""
-    doc = {
-        "config": {
-            "a": config.a,
-            "tail": config.tail,
-            "width": config.width,
-            "delta0": config.delta0,
-            "l0": config.l0,
-            "protected": config.protected,
-            "trials": config.trials,
-            "seed": config.seed,
-            "shards": config.shards,
-            "stratified": config.stratified,
-            "data_mode": config.data_mode,
-            "subtrials_per_stratum": config.subtrials_per_stratum,
-        },
-        "estimate": {
-            "trials": est.trials,
-            "word_error_events": est.word_error_events,
-            "bit_errors_hamming": est.bit_errors_hamming,
-            "event_rate_per_bit": est.event_rate_per_bit,
-            "hamming_rate": est.hamming_rate,
-            "ci95": list(est.ci95),
-            "per_class": est.per_class,
-            "weighted": est.weighted,
-        },
-    }
-    if est.strata is not None:
-        doc["estimate"]["strata"] = [
-            {
-                "n_tail_cells": s.n_tail_cells,
-                "weight": s.weight,
-                "trials": s.trials,
-                "events": s.events,
-                "mean": s.mean,
-                "simulated": s.simulated,
-            }
-            for s in est.strata
-        ]
-    return doc
+    estimate = asdict(est)
+    estimate["ci95"] = list(est.ci95)
+    if est.strata is None:
+        del estimate["strata"]
+    else:
+        estimate["strata"] = list(estimate["strata"])
+    return {"config": asdict(config), "estimate": estimate}

@@ -246,18 +246,16 @@ def test_criterion_7_oracle_decoder_dominance():
     n = 100_000
     written = engine.draw_words(n, rng.gen)
     v = engine.sample_reads(written, rng.gen)
-    from norsim.codec import margin_sense
-
-    sensed = margin_sense(v, engine.grid)
-    sums = sensed.sum(axis=1)
-    fail = np.nonzero(sums % 2 == 1)[0]
+    decoded, passed = engine.decode(v)
+    fail = np.nonzero(~passed)[0]
     vi = v[fail]
-    dist = np.zeros((len(fail), len(engine.words)))
+    grid = engine.grid
+    book_levels = grid.l0 + grid.pitch * engine.book.words
+    dist = np.zeros((len(fail), len(book_levels)))
     for j in range(4):
-        dist += np.abs(vi[:, j, None] - engine.word_levels[None, :, j])
+        dist += np.abs(vi[:, j, None] - book_levels[None, :, j])
     d_oracle = dist.min(axis=1)
-    dist_masked = np.where(engine.allowed_by_sum[sums[fail]], dist, np.inf)
-    d_soft = dist_masked.min(axis=1)
+    d_soft = np.abs(vi - (grid.l0 + grid.pitch * decoded[fail])).sum(axis=1)
 
     dominance = np.all(d_oracle <= d_soft + 1e-12)
     equal_frac = np.mean(d_oracle > d_soft - 1e-12)

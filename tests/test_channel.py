@@ -212,11 +212,11 @@ class TestSampleReadConditioned:
         v, side = sample_read_conditioned(0, grid, noise, True, RngStream(7))
         assert abs(v - grid.levels[0]) > 0.25 and side in (-1, 1)
 
-    def test_interior_with_zero_width_rejected(self):
+    def test_interior_with_zero_width_is_level_voltage(self):
         grid = LevelGrid(n_levels=4, margin=1.0, width=0.0)
         noise = NoiseModel(a=1.0, tail=0.5, width=0.0)
-        with pytest.raises(ValueError):
-            sample_read_conditioned(0, grid, noise, False, RngStream(8))
+        v, side = sample_read_conditioned(2, grid, noise, False, RngStream(8), size=1000)
+        assert np.all(v == grid.levels[2]) and np.all(side == 0)
 
     def test_interior_symmetric_about_level(self):
         grid = LevelGrid(n_levels=4, margin=1.0, width=1.0)

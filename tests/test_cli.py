@@ -185,6 +185,19 @@ class TestSimulateCommand:
             doc["results"], sort_keys=True
         )
 
+    def test_stratified_zero_width(self, capsys):
+        # at width 0 interior cells read exactly at their level voltage
+        doc = run_json(capsys, "simulate", "--a-delta0", "2", "--aw", "0",
+                       "--tail", "0.1", "--stratified", "--subtrials", "2e3")
+        assert doc["results"]["estimate"]["word_error_events"] > 0
+
+    def test_seed_resolved_exactly(self, capsys):
+        seed = 2**60 + 1  # not representable as a float
+        doc = run_json(capsys, "simulate", "--a-delta0", "6", "--trials", "10",
+                       "--seed", str(seed))
+        assert doc["results"]["config"]["seed"] == seed
+        assert doc["manifest"]["params"]["seed"] == seed
+
     def test_unwritable_output_is_error(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS, "--out",
                                "/nonexistent-dir/report.json")
@@ -210,6 +223,13 @@ class TestSweepCommand:
         assert all("e2_simulated" in r for r in rows)
         slopes = doc["results"]["slopes"]
         assert slopes["analytic"] is not None and slopes["simulated"] is not None
+
+    def test_stratified_simulated_sweep(self, capsys):
+        doc = run_json(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",
+                       "--aw", "1", "--tail", "0.05", "--stratified",
+                       "--subtrials", "2e3", "--seed", "3")
+        rows = doc["results"]["rows"]
+        assert all(r["e2_simulated"] > 0 and r["ci95_lo"] <= r["ci95_hi"] for r in rows)
 
     def test_empty_grid_is_error(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")

@@ -4,10 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norsim.channel import LevelGrid, NoiseModel, RngStream, five_level_grid, sample_read
 from norsim.codec import (
     CodeBook,
+    decode,
     encode,
     enumerate_codewords,
     margin_sense,
@@ -16,7 +19,7 @@ from norsim.codec import (
     read_byte,
     soft_correct,
 )
-from norsim.codec import _oracle_nearest_with_distance, _soft_correct_with_distance
+from norsim.codec import _l1_distances, _oracle_nearest_with_distance
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,34 @@ def brute_nearest(volts, grid, allowed_sums=None):
         if best_d is None or d < best_d - 1e-12:
             best, best_d = w, d
     return best, best_d
+
+
+def masked_search(volts, grid, book):
+    """Full-codebook decode: the sensed word if it passes parity, else the
+    L1-nearest word with sum = sensed sum +/- 1, lowest index on ties (the
+    codebook is in lexicographic order)."""
+    sensed = margin_sense(volts, grid)
+    s = int(sensed.sum())
+    if s % 2 == 0:
+        return tuple(sensed.tolist()), None
+    sums = book.words.sum(axis=1)
+    dist = np.where(np.abs(sums - s) == 1, _l1_distances(volts, grid, book.words), np.inf)
+    return tuple(book.words[dist.argmin()].tolist()), dist
+
+
+def decode_one(volts, grid):
+    sensed, decoded, passed = decode(np.asarray(volts, dtype=float)[None], grid)
+    assert bool(passed[0]) == (int(sensed[0].sum()) % 2 == 0)
+    return tuple(decoded[0].tolist())
+
+
+# Grids whose pitch is a power of two: reads on a 1/32-pitch lattice then
+# make every distance exact in binary, so exact ties are exercised too.
+DYADIC_GRIDS = (
+    LevelGrid(n_levels=5, margin=0.75, width=0.25),
+    LevelGrid(n_levels=5, margin=1.5, width=0.5, l0=-3.0),
+    LevelGrid(n_levels=5, margin=0.5, width=0.0, l0=2.0),
+)
 
 
 class TestEnumeration:
@@ -138,14 +169,12 @@ class TestSoftCorrect:
         assert not parity_ok(sensed)
         assert soft_correct(volts, sensed, grid, book) == (0, 0, 0, 0)
 
-    def test_two_level_overshoot_converges_two_away(self, grid, book):
-        # read sits exactly on L2; with a parity-failing sensed word the
-        # correction converges two levels away from the written symbol
+    def test_sensed_must_match_read(self, grid, book):
+        # read sits exactly on L2, so (1,0,0,0) is not its sensed word
         volts = grid.levels[[0, 0, 0, 0]].astype(float)
         volts[0] = grid.levels[2]
-        word, dist = _soft_correct_with_distance(volts, (1, 0, 0, 0), grid, book)
-        assert word == (2, 0, 0, 0)
-        assert dist == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            soft_correct(volts, (1, 0, 0, 0), grid, book)
 
     def test_parity_passing_input_rejected(self, grid, book):
         volts = grid.levels[[1, 1, 0, 0]].astype(float)
@@ -185,6 +214,64 @@ class TestSoftCorrect:
             assert parity_ok(soft_correct(volts, sensed, grid, book))
 
 
+class TestDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        grid=st.sampled_from(DYADIC_GRIDS),
+        ticks=st.lists(st.integers(-96, 224), min_size=4, max_size=4),
+    )
+    def test_matches_masked_search_on_exact_lattice(self, book, grid, ticks):
+        # reads from 3 pitches below level 0 to 3 pitches above level 4
+        volts = grid.l0 + grid.pitch * (np.array(ticks) / 32.0)
+        expect, _ = masked_search(volts, grid, book)
+        assert decode_one(volts, grid) == expect
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-3.0, 7.0), min_size=4, max_size=4))
+    def test_matches_masked_search_on_floats(self, book, grid, t):
+        volts = grid.l0 + grid.pitch * np.array(t)
+        expect, dist = masked_search(volts, grid, book)
+        got = decode_one(volts, grid)
+        if dist is None or np.sort(dist)[1] - dist.min() > 1e-9:
+            assert got == expect
+        else:  # a near-tie: rounding may pick either word
+            assert dist[book.index_of(got)] <= dist.min() + 1e-9
+
+    @pytest.mark.parametrize("offsets", [
+        (0.0, 0.0, 0.0, 0.0),
+        (0.5, 0.5, 0.5, 0.5),
+        (0.25, -0.375, 0.5, -0.125),
+        (-0.46875, 0.4375, 0.0, 0.25),
+        (0.125, 0.125, -0.25, -0.25),
+    ])
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_every_parity_failing_sensed_word(self, book, offsets, clamped):
+        grid = DYADIC_GRIDS[0]
+        failing = [w for w in product(range(5), repeat=4) if sum(w) % 2 == 1]
+        assert len(failing) == 312
+        for w in failing:
+            t = np.array(w) + np.array(offsets)
+            if clamped:  # push edge cells far outside the grid
+                t = np.where(np.array(w) == 0, -2.25, np.where(np.array(w) == 4, 6.5, t))
+            volts = grid.l0 + grid.pitch * t
+            assert tuple(margin_sense(volts, grid).tolist()) == w
+            expect, _ = masked_search(volts, grid, book)
+            assert decode_one(volts, grid) == expect
+
+    def test_batch_outputs(self, grid):
+        volts = grid.levels[np.array([[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 1, 0]])]
+        sensed, decoded, passed = decode(volts, grid)
+        assert sensed.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 1, 0]]
+        assert decoded.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [2, 1, 1, 0]]
+        assert passed.tolist() == [True, False, True]
+
+    def test_rejects_bad_shape(self, grid):
+        with pytest.raises(ValueError):
+            decode(np.zeros(4), grid)
+        with pytest.raises(ValueError):
+            decode(np.zeros((2, 3)), grid)
+
+
 class TestOracleNearest:
     def test_exact_codeword_recovered(self, grid, book):
         volts = grid.levels[[2, 1, 1, 0]].astype(float)
@@ -218,7 +305,7 @@ class TestOracleNearest:
             sensed = margin_sense(volts, grid)
             if parity_ok(sensed):
                 continue
-            _, d_soft = _soft_correct_with_distance(volts, sensed, grid, book)
+            d_soft = read_byte(volts, grid, book).decoder_distance
             ow, d_oracle = _oracle_nearest_with_distance(volts, grid, book)
             assert d_oracle <= d_soft + 1e-12
             if d_oracle < d_soft - 1e-12:

@@ -243,12 +243,17 @@ class TestStratified:
         sim_flags = [s.simulated for s in est.strata]
         assert sim_flags == [False, False, False, False, True]
 
-    def test_zero_width_with_partial_tail_rejected(self):
-        cfg = SimConfig(a=1.0, tail=0.5, width=0.0, delta0=4.0, protected=True,
-                        trials=1, seed=14, stratified=True,
-                        subtrials_per_stratum=1_000)
-        with pytest.raises(ValueError):
-            run_stratified(cfg)
+    def test_zero_width_with_partial_tail_matches_plain(self):
+        # interior cells are a point mass at the level voltage
+        base = dict(a=1.0, tail=0.5, width=0.0, delta0=4.0, protected=True, seed=14)
+        plain = run_trials(SimConfig(trials=200_000, **base))
+        strat = run_stratified(
+            SimConfig(trials=1, stratified=True, subtrials_per_stratum=50_000, **base)
+        )
+        assert strat.event_rate_per_bit > 0
+        lo = max(plain.ci95[0], strat.ci95[0])
+        hi = min(plain.ci95[1], strat.ci95[1])
+        assert lo <= hi, (plain.ci95, strat.ci95)
 
     def test_unprotected_rejected(self):
         cfg = SimConfig(a=1.0, tail=0.1, width=0.5, delta0=4.0, protected=False,
@@ -290,3 +295,44 @@ class TestSerialization:
         est = run_stratified(cfg)
         doc = estimate_to_dict(est, cfg)
         assert len(doc["estimate"]["strata"]) == 5
+
+    @staticmethod
+    def hand_built(est, config):
+        """The document layout, key order included, spelled out field by field."""
+        doc = {
+            "config": {
+                "a": config.a, "tail": config.tail, "width": config.width,
+                "delta0": config.delta0, "l0": config.l0,
+                "protected": config.protected, "trials": config.trials,
+                "seed": config.seed, "shards": config.shards,
+                "stratified": config.stratified, "data_mode": config.data_mode,
+                "subtrials_per_stratum": config.subtrials_per_stratum,
+            },
+            "estimate": {
+                "trials": est.trials,
+                "word_error_events": est.word_error_events,
+                "bit_errors_hamming": est.bit_errors_hamming,
+                "event_rate_per_bit": est.event_rate_per_bit,
+                "hamming_rate": est.hamming_rate,
+                "ci95": list(est.ci95),
+                "per_class": est.per_class,
+                "weighted": est.weighted,
+            },
+        }
+        if est.strata is not None:
+            doc["estimate"]["strata"] = [
+                {"n_tail_cells": s.n_tail_cells, "weight": s.weight,
+                 "trials": s.trials, "events": s.events, "mean": s.mean,
+                 "simulated": s.simulated}
+                for s in est.strata
+            ]
+        return doc
+
+    def test_document_text_matches_layout(self):
+        plain = SimConfig(a=1.0, tail=0.2, width=0.5, delta0=3.0, trials=10_000, seed=18)
+        strat = SimConfig(a=1.0, tail=0.1, width=1.0, delta0=4.0, trials=1, seed=19,
+                          stratified=True, subtrials_per_stratum=5_000)
+        for cfg, est in ((plain, run_trials(plain)), (strat, run_stratified(strat))):
+            assert json.dumps(estimate_to_dict(est, cfg), indent=2) == json.dumps(
+                self.hand_built(est, cfg), indent=2
+            )
