@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _require_finite
+
 __all__ = [
     "ChannelPoint",
     "ErrorBudget",
@@ -53,6 +55,7 @@ class ChannelPoint:
     bits_per_cell: int = 2
 
     def __post_init__(self):
+        _require_finite(a_delta0=self.a_delta0, a_w=self.a_w)
         if not self.a_delta0 > 0.0:
             raise ValueError(f"a_delta0 must be > 0, got {self.a_delta0}")
         if self.a_w < 0.0:

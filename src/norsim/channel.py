@@ -13,6 +13,7 @@ dimensionless products ``a * margin`` and ``a * width``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 
+def _require_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Read-voltage law around each program level.
@@ -45,6 +52,7 @@ class NoiseModel:
     width: float = 0.0
 
     def __post_init__(self):
+        _require_finite(a=self.a, width=self.width)
         if not self.a > 0.0:
             raise ValueError(f"tail slope a must be > 0, got {self.a}")
         if not 0.0 <= self.tail <= 1.0:
@@ -67,6 +75,7 @@ class LevelGrid:
     l0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(margin=self.margin, width=self.width, l0=self.l0)
         if self.n_levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.n_levels}")
         if not self.margin > 0.0:
@@ -97,6 +106,7 @@ class LevelGrid:
 def derive_5level_margin(delta0: float, width: float) -> float:
     """Margin of the 5-level grid that spans the same window as a 4-level
     grid with margin ``delta0``: 4*(margin + width) = 3*(delta0 + width)."""
+    _require_finite(delta0=delta0, width=width)
     if not delta0 > 0.0:
         raise ValueError(f"delta0 must be > 0, got {delta0}")
     if width < 0.0:
@@ -165,17 +175,6 @@ def read_density(v, level_index, grid: LevelGrid, noise: NoiseModel):
     return float(out) if np.ndim(v) == 0 and np.ndim(level_index) == 0 else out
 
 
-def _sample_mixture(centers, noise: NoiseModel, gen: np.random.Generator):
-    """Draw reads around ``centers`` from the full interior+tail mixture.
-
-    Consumes a fixed number of variates per element regardless of outcome,
-    so draw sequences are reproducible independent of the sampled values.
-    """
-    u_mix = gen.random(np.shape(centers))
-    v, _ = _sample_conditioned(centers, u_mix < noise.tail, noise, gen)
-    return v
-
-
 def _sample_conditioned(centers, tail_mask, noise: NoiseModel, gen: np.random.Generator):
     """Draw reads with the tail/interior split forced by ``tail_mask``.
 
@@ -199,7 +198,9 @@ def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream,
     With probability 1-tail the read is uniform on the program window; with
     probability tail/2 per side it is the window edge plus an exponential
     excess of rate 2*a.  ``level_index`` may be a scalar or an array;
-    ``size`` draws that many reads of a single scalar level.
+    ``size`` draws that many reads of a single scalar level.  One uniform
+    per read picks tail or interior before the conditioned draw, so the
+    number of variates consumed does not depend on the sampled values.
     """
     _check_pair(grid, noise)
     centers = grid.level_voltage(level_index)
@@ -207,7 +208,8 @@ def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream,
         if np.ndim(level_index) != 0:
             raise ValueError("size is only valid with a scalar level_index")
         centers = np.full(size, centers)
-    v = _sample_mixture(centers, noise, rng.gen)
+    u_mix = rng.gen.random(np.shape(centers))
+    v, _ = _sample_conditioned(centers, u_mix < noise.tail, noise, rng.gen)
     return float(v) if np.ndim(v) == 0 else v
 
 

@@ -102,29 +102,43 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _resolve(args, key: str, default, cast):
-    """Flag value if given, else config-file value, else default."""
+def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
+    """Fill each flag not given on the command line from the config file,
+    parsed as the flag would parse it, so the manifest records it."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions}
+    for key, raw in _load_config_file(path).items():
+        flag, name = flags.get(key), key.replace("_", "-")
+        if flag is None or key in ("help", "config"):
+            raise ValueError(f"{path}: {name!r} is not a flag of {args.command}")
+        if getattr(args, key) is not None:
+            continue
+        val = _as_bool(raw) if flag.nargs == 0 else (flag.type or str)(raw)
+        if flag.choices is not None and val not in flag.choices:
+            raise ValueError(f"{path}: {name} must be one of {flag.choices}")
+        # a store_true switch has no --no- form: false is the same as absent
+        if val is not False or isinstance(flag, argparse.BooleanOptionalAction):
+            setattr(args, key, val)
+
+
+def _resolve(args, key: str, default):
+    """Flag (or config-file) value if given, else default."""
     val = getattr(args, key, None)
-    if val is None and args._config_values and key in args._config_values:
-        raw = args._config_values[key]
-        val = _as_bool(raw) if cast is bool else cast(raw)
-    if val is None:
-        return default
-    return cast(val) if not isinstance(val, bool) else val
+    return default if val is None else val
 
 
 def _resolve_point(args) -> tuple[float, float, float]:
     """(a_delta0, a_w, tail) from --a-delta0 xor --exp-margin plus flags."""
-    ad0 = _resolve(args, "a_delta0", None, float)
-    em = _resolve(args, "exp_margin", None, float)
+    ad0 = _resolve(args, "a_delta0", None)
+    em = _resolve(args, "exp_margin", None)
     if (ad0 is None) == (em is None):
         raise ValueError("give exactly one of --a-delta0 and --exp-margin")
     if em is not None:
         if not 0.0 < em < 1.0:
             raise ValueError(f"--exp-margin must be in (0, 1), got {em}")
         ad0 = -math.log(em)
-    aw = _resolve(args, "aw", 0.0, float)
-    tail = _resolve(args, "tail", 1.0, float)
+    aw = _resolve(args, "aw", 0.0)
+    tail = _resolve(args, "tail", 1.0)
     return ad0, aw, tail
 
 
@@ -272,18 +286,18 @@ def _analytic_text(doc: dict) -> str:
 
 
 def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
-    subtrials = _resolve(args, "subtrials", None, float)
+    subtrials = _resolve(args, "subtrials", None)
     return SimConfig(
         a=1.0,
         tail=tail,
         width=aw,
         delta0=a_delta0,
-        protected=_resolve(args, "protected", True, bool),
-        trials=int(_resolve(args, "trials", 1_000_000, float)),
-        seed=_resolve(args, "seed", 0, int),
-        shards=_resolve(args, "shards", 1, int),
-        stratified=_resolve(args, "stratified", False, bool),
-        data_mode=_resolve(args, "data_mode", "uniform", str),
+        protected=_resolve(args, "protected", True),
+        trials=int(_resolve(args, "trials", 1_000_000)),
+        seed=_resolve(args, "seed", 0),
+        shards=_resolve(args, "shards", 1),
+        stratified=_resolve(args, "stratified", False),
+        data_mode=_resolve(args, "data_mode", "uniform"),
         subtrials_per_stratum=int(subtrials) if subtrials else None,
     )
 
@@ -352,17 +366,15 @@ def _simulate_text(doc: dict) -> str:
 
 
 def cmd_sweep(args) -> dict:
-    grid_text = _resolve(args, "grid", None, str)
+    grid_text = _resolve(args, "grid", None)
     if not grid_text:
         raise ValueError("sweep requires --grid with comma-separated a*delta0 values")
     values = [float(x) for x in grid_text.split(",") if x.strip()]
     if not values:
         raise ValueError("empty sweep grid")
-    mode = _resolve(args, "mode", "analytic", str)
-    if mode not in ("analytic", "simulate", "both"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    aw = _resolve(args, "aw", 0.0, float)
-    tail = _resolve(args, "tail", 1.0, float)
+    mode = _resolve(args, "mode", "analytic")
+    aw = _resolve(args, "aw", 0.0)
+    tail = _resolve(args, "tail", 1.0)
 
     e0s, e2s = scaling_sweep(values, tail=tail, a_w=aw)
     rows = []
@@ -501,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _public_params(args) -> dict:
-    skip = {"command", "config", "out", "format", "_config_values"}
+    skip = {"command", "config", "out", "format"}
     return {
         k.replace("_", "-"): v
         for k, v in sorted(vars(args).items())
@@ -513,19 +525,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config_values = (
-            _load_config_file(args.config) if getattr(args, "config", None) else {}
-        )
+        if args.config:
+            _apply_config(args, parser, args.config)
         runner, renderer = _COMMANDS[args.command]
         results = runner(args)
         manifest = RunManifest(
             command=args.command, params=_public_params(args), out=args.out
         )
         doc = {"manifest": manifest.to_dict(), "results": results}
-        fmt = _resolve(args, "format", "table", str)
-        if fmt not in ("table", "csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        _emit(doc, fmt, args.out, renderer)
+        _emit(doc, _resolve(args, "format", "table"), args.out, renderer)
     except (ValueError, OSError) as exc:
         print(f"norsim: error: {exc}", file=sys.stderr)
         return 2

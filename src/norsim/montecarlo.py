@@ -5,13 +5,24 @@ already describes the full spread of the read-back voltage), reads are
 sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
-Trials are sharded deterministically: trial t belongs to shard t mod
-shards, and shard i consumes the random stream (seed, i), so a given
-(seed, shards) pair is bit-reproducible regardless of scheduling.  The
-tail-stratified estimator conditions on the number of tail cells per
-word, which is the rare-event driver at small tail fractions; cells
-inside the program window can never cross a decision boundary, so the
-all-interior stratum is accounted analytically as error-free.
+Both estimators run one unit of work, ``_Engine.tally(rng, n, k)``:
+it draws n words from one random stream and returns their class counts
+and payload bit flips.  Per batch the stream is consumed in a fixed
+order, which is the stream contract: the written words (one pool index
+per word, or one symbol per cell when unprotected), then one uniform per
+cell that picks the tail cells, then the conditioned read sampler.  A
+plain run marks a cell as tail when its uniform is below the tail
+fraction; stratum k of a stratified run marks the k cells with the
+smallest uniforms, a uniformly random k-subset.
+
+Plain trials are sharded deterministically: trial t belongs to shard
+t mod shards, and shard i consumes the random stream (seed, i), so a
+given (seed, shards) pair is bit-reproducible regardless of scheduling.
+The tail-stratified estimator conditions on the number k of tail cells
+per word, the rare-event driver at small tail fractions, and runs
+stratum k on stream (seed, 10000 + k); cells inside the program window
+can never cross a decision boundary, so the all-interior stratum is
+accounted analytically as error-free.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from .channel import (
     NoiseModel,
     RngStream,
     _sample_conditioned,
-    _sample_mixture,
     five_level_grid,
     four_level_grid,
 )
@@ -54,7 +64,6 @@ _BATCH = 1 << 20
 _Z95 = 1.959963984540054
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-_POPCOUNT2 = np.array([0, 1, 1, 2], dtype=np.int64)
 
 
 class ErrorClass(Enum):
@@ -208,64 +217,64 @@ def _classify(written, decoded, parity_passed, protected: bool = True) -> np.nda
 
 
 class _Engine:
-    """Vectorized write/read/decode pipeline bound to one configuration."""
+    """Vectorized write/read/decode/classify pipeline bound to one configuration."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.noise = config.noise()
         self.grid = config.grid()
         n = self.grid.n_levels
+        # radix-n value of a word -> its byte, -1 for unmapped words; with 4
+        # levels a word's radix-4 value is its byte (2 payload bits per cell)
+        self.radix = n ** np.arange(N_CELLS - 1, -1, -1)
         if config.protected:
-            self.book = CodeBook.build(n)
-            words = self.book.words
-            radix = self._radix(words)
+            words = CodeBook.build(n).words
             self.byte_lut = np.full(n**N_CELLS, -1, dtype=np.int64)
-            self.byte_lut[radix[:256]] = np.arange(256)
+            self.byte_lut[words[:256] @ self.radix] = np.arange(256)
             if config.data_mode == "interior":
                 inner = (words >= 1).all(axis=1) & (words <= n - 2).all(axis=1)
                 self.data_pool = words[inner]
             else:
                 self.data_pool = words[:256]
         else:
+            self.byte_lut = np.arange(256)
+            self.data_pool = None
             self.symbol_low, self.symbol_high = (
                 (1, n - 1) if config.data_mode == "interior" else (0, n)
             )
 
-    def _radix(self, words: np.ndarray) -> np.ndarray:
-        n = self.grid.n_levels
-        return ((words[:, 0] * n + words[:, 1]) * n + words[:, 2]) * n + words[:, 3]
+    def tally(self, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
+        """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
+        _CLASS_ORDER, then the total of payload bit flips.
 
-    def draw_words(self, m: int, gen: np.random.Generator) -> np.ndarray:
-        if self.config.protected:
-            idx = gen.integers(0, len(self.data_pool), m)
-            return self.data_pool[idx]
-        return gen.integers(self.symbol_low, self.symbol_high, (m, N_CELLS))
-
-    def sample_reads(self, written: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        centers = self.grid.l0 + self.grid.pitch * written
-        return _sample_mixture(centers, self.noise, gen)
-
-    def decode(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decode read voltages (m, 4) -> (decoded words, parity_passed)."""
-        if not self.config.protected:
-            return margin_sense(v, self.grid), np.ones(len(v), dtype=bool)
-        _, decoded, passed = decode(v, self.grid)
-        return decoded, passed
-
-    def classify(
-        self, written: np.ndarray, decoded: np.ndarray, parity_passed: np.ndarray
-    ) -> np.ndarray:
-        """Class codes 0..4 per trial, indexing _CLASS_ORDER."""
-        return _classify(written, decoded, parity_passed, self.config.protected)
-
-    def hamming_bits(self, written: np.ndarray, decoded: np.ndarray) -> np.ndarray:
-        """Payload bit flips per trial."""
-        if not self.config.protected:
-            return _POPCOUNT2[np.bitwise_xor(written, decoded)].sum(axis=1)
-        wb = self.byte_lut[self._radix(written)]
-        db = self.byte_lut[self._radix(decoded)]
-        flips = _POPCOUNT8[np.bitwise_xor(wb, db) & 0xFF]
-        return np.where(db < 0, 8, flips)
+        k None samples every cell from the read law; otherwise exactly k
+        cells of each word, chosen uniformly, are forced into the tail law
+        and the rest into the interior law.
+        """
+        gen = rng.gen
+        counts = np.zeros(6, dtype=np.int64)
+        for lo in range(0, n, _BATCH):
+            m = min(_BATCH, n - lo)
+            if self.data_pool is None:
+                written = gen.integers(self.symbol_low, self.symbol_high, (m, N_CELLS))
+            else:
+                written = self.data_pool[gen.integers(0, len(self.data_pool), m)]
+            u = gen.random((m, N_CELLS))
+            tail_mask = u < self.noise.tail if k is None else u.argsort(axis=1) < k
+            centers = self.grid.l0 + self.grid.pitch * written
+            v, _ = _sample_conditioned(centers, tail_mask, self.noise, gen)
+            if self.config.protected:
+                _, decoded, passed = decode(v, self.grid)
+            else:
+                decoded, passed = margin_sense(v, self.grid), None
+            cls = _classify(written, decoded, passed, self.config.protected)
+            counts[:5] += np.bincount(cls, minlength=5)
+            err = cls != 0
+            wb = self.byte_lut[written[err] @ self.radix]
+            db = self.byte_lut[decoded[err] @ self.radix]
+            # an unmapped decode counts as a full byte
+            counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+        return counts
 
 
 def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
@@ -278,41 +287,29 @@ def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
     return _CLASS_ORDER[code[0]]
 
 
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    return [len(range(i, trials, shards)) for i in range(shards)]
-
-
 def run_trials(config: SimConfig) -> BerEstimate:
     """Plain Monte Carlo: write random data, read, decode, classify."""
     if config.stratified:
         raise ValueError("config.stratified is set; use run_stratified")
     engine = _Engine(config)
-    events = 0
-    hamming = 0
-    class_counts = np.zeros(5, dtype=np.int64)
-    for shard, n_shard in enumerate(_shard_sizes(config.trials, config.shards)):
-        if n_shard == 0:
-            continue
-        rng = RngStream(config.seed, shard)
-        for lo in range(0, n_shard, _BATCH):
-            m = min(_BATCH, n_shard - lo)
-            written = engine.draw_words(m, rng.gen)
-            v = engine.sample_reads(written, rng.gen)
-            decoded, passed = engine.decode(v)
-            cls = engine.classify(written, decoded, passed)
-            class_counts += np.bincount(cls, minlength=5)
-            events += int((cls != 0).sum())
-            hamming += int(engine.hamming_bits(written, decoded).sum())
-    rate = events / (config.trials * BITS_PER_WORD)
+    # shard i holds trials i, i + shards, i + 2 * shards, ...; shards past
+    # the last trial are empty and draw nothing
+    n, shards = config.trials, config.shards
+    counts = sum(
+        engine.tally(RngStream(config.seed, i), len(range(i, n, shards)))
+        for i in range(min(shards, n))
+    )
+    events = int(counts[1:5].sum())
+    hamming = int(counts[5])
     ci = confidence_interval(events, config.trials)
     return BerEstimate(
         trials=config.trials,
         word_error_events=events,
         bit_errors_hamming=hamming,
-        event_rate_per_bit=rate,
+        event_rate_per_bit=events / (config.trials * BITS_PER_WORD),
         hamming_rate=hamming / (config.trials * BITS_PER_WORD),
         ci95=(ci[0] / BITS_PER_WORD, ci[1] / BITS_PER_WORD),
-        per_class={c.value: int(class_counts[i]) for i, c in enumerate(_CLASS_ORDER)},
+        per_class={c.value: int(counts[i]) for i, c in enumerate(_CLASS_ORDER)},
         weighted=False,
     )
 
@@ -332,7 +329,9 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     the estimator unbiased for the plain-Monte-Carlo mean.  The k = 0
     stratum is error-free by construction (interior deviations are below
     half the program width, hence below every decision boundary) and is
-    folded in analytically.
+    folded in analytically.  The 95% interval weights the per-stratum
+    Wilson bounds like the means, so a run that sees no events still
+    reports a positive upper bound.
     """
     if not config.stratified:
         raise ValueError("config.stratified is not set; use run_trials")
@@ -346,7 +345,7 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
 
     p_hat = 0.0
-    var = 0.0
+    ci_lo = ci_hi = 0.0
     ham_rate = 0.0
     class_rates = np.zeros(5)
     work = 0
@@ -354,44 +353,20 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     for k in range(N_CELLS + 1):
         w = float(weights[k])
         if k == 0 or w == 0.0:
-            strata.append(
-                StratumResult(
-                    n_tail_cells=k, weight=w, trials=0, events=0, mean=0.0,
-                    simulated=False,
-                )
-            )
+            strata.append(StratumResult(k, w, 0, 0, 0.0, simulated=False))
             continue
-        rng = RngStream(config.seed, 10_000 + k)
-        events_k = 0
-        ham_k = 0
-        class_k = np.zeros(5, dtype=np.int64)
-        for lo in range(0, n_per, _BATCH):
-            m = min(_BATCH, n_per - lo)
-            written = engine.draw_words(m, rng.gen)
-            ranks = rng.gen.random((m, N_CELLS)).argsort(axis=1)
-            tail_mask = ranks < k
-            centers = engine.grid.l0 + engine.grid.pitch * written
-            v, _ = _sample_conditioned(centers, tail_mask, engine.noise, rng.gen)
-            decoded, passed = engine.decode(v)
-            cls = engine.classify(written, decoded, passed)
-            class_k += np.bincount(cls, minlength=5)
-            events_k += int((cls != 0).sum())
-            ham_k += int(engine.hamming_bits(written, decoded).sum())
+        counts = engine.tally(RngStream(config.seed, 10_000 + k), n_per, k)
+        events_k = int(counts[1:5].sum())
         mean_k = events_k / n_per
         p_hat += w * mean_k
-        var += w * w * mean_k * (1.0 - mean_k) / n_per
-        ham_rate += w * ham_k / (n_per * BITS_PER_WORD)
-        class_rates += w * class_k / n_per
+        lo_k, hi_k = confidence_interval(events_k, n_per)
+        ci_lo += w * lo_k
+        ci_hi += w * hi_k
+        ham_rate += w * int(counts[5]) / (n_per * BITS_PER_WORD)
+        class_rates += w * counts[:5] / n_per
         work += n_per
-        strata.append(
-            StratumResult(
-                n_tail_cells=k, weight=w, trials=n_per, events=events_k,
-                mean=mean_k, simulated=True,
-            )
-        )
+        strata.append(StratumResult(k, w, n_per, events_k, mean_k, simulated=True))
 
-    sd = math.sqrt(var)
-    ci_word = (max(p_hat - _Z95 * sd, 0.0), min(p_hat + _Z95 * sd, 1.0))
     # NONE absorbs whatever rate the error classes do not account for
     class_rates[0] = max(1.0 - class_rates[1:].sum(), 0.0)
     return BerEstimate(
@@ -400,7 +375,7 @@ def run_stratified(config: SimConfig) -> BerEstimate:
         bit_errors_hamming=ham_rate * work * BITS_PER_WORD,
         event_rate_per_bit=p_hat / BITS_PER_WORD,
         hamming_rate=ham_rate,
-        ci95=(ci_word[0] / BITS_PER_WORD, ci_word[1] / BITS_PER_WORD),
+        ci95=(ci_lo / BITS_PER_WORD, ci_hi / BITS_PER_WORD),
         per_class={
             c.value: float(class_rates[i] * work) for i, c in enumerate(_CLASS_ORDER)
         },

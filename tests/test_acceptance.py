@@ -25,14 +25,21 @@ from norsim.channel import (
     LevelGrid,
     NoiseModel,
     RngStream,
+    five_level_grid,
     read_density,
     sample_read,
 )
 from norsim.cli import format_sig1
-from norsim.codec import CodeBook, encode, enumerate_codewords, parity_ok, read_byte
+from norsim.codec import (
+    CodeBook,
+    decode,
+    encode,
+    enumerate_codewords,
+    parity_ok,
+    read_byte,
+)
 from norsim.montecarlo import (
     SimConfig,
-    _Engine,
     run_stratified,
     run_trials,
     variance_reduction_factor,
@@ -240,17 +247,17 @@ def test_criterion_6_stratified_estimator():
 
 
 def test_criterion_7_oracle_decoder_dominance():
-    config = SimConfig(protected=True, trials=1, seed=71, **CH)
-    engine = _Engine(config)
+    grid = five_level_grid(CH["delta0"], CH["width"])
+    noise = NoiseModel(CH["a"], CH["tail"], CH["width"])
+    book = CodeBook.build(5)
     rng = RngStream(71)
     n = 100_000
-    written = engine.draw_words(n, rng.gen)
-    v = engine.sample_reads(written, rng.gen)
-    decoded, passed = engine.decode(v)
+    written = book.words[:256][rng.gen.integers(0, 256, n)]
+    v = sample_read(written, grid, noise, rng)
+    _, decoded, passed = decode(v, grid)
     fail = np.nonzero(~passed)[0]
     vi = v[fail]
-    grid = engine.grid
-    book_levels = grid.l0 + grid.pitch * engine.book.words
+    book_levels = grid.l0 + grid.pitch * book.words
     dist = np.zeros((len(fail), len(book_levels)))
     for j in range(4):
         dist += np.abs(vi[:, j, None] - book_levels[None, :, j])

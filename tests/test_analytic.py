@@ -117,6 +117,13 @@ class TestProtected:
         with pytest.raises(ValueError):
             ChannelPoint(a_delta0=1.0, tail=1.0001)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="^a_delta0 must be finite"):
+            ChannelPoint(a_delta0=bad)
+        with pytest.raises(ValueError, match="^a_w must be finite"):
+            ChannelPoint(a_delta0=1.0, a_w=bad)
+
 
 class TestRatioApproximation:
     def test_row_one(self):

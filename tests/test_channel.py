@@ -1,5 +1,7 @@
 """Channel model: density values, normalization, sampling statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -77,6 +79,21 @@ class TestGrids:
             NoiseModel(a=1.0, tail=1.5)
         with pytest.raises(ValueError):
             NoiseModel(a=1.0, tail=0.5, width=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="^a must be finite"):
+            NoiseModel(a=bad, tail=0.5)
+        with pytest.raises(ValueError, match="^width must be finite"):
+            NoiseModel(a=1.0, tail=0.5, width=bad)
+        with pytest.raises(ValueError, match="^margin must be finite"):
+            LevelGrid(n_levels=5, margin=bad)
+        with pytest.raises(ValueError, match="^width must be finite"):
+            LevelGrid(n_levels=5, margin=1.0, width=bad)
+        with pytest.raises(ValueError, match="^l0 must be finite"):
+            LevelGrid(n_levels=5, margin=1.0, l0=bad)
+        with pytest.raises(ValueError, match="^delta0 must be finite"):
+            derive_5level_margin(bad, 0.0)
 
     def test_level_voltage_range_check(self):
         grid = LevelGrid(n_levels=4, margin=1.0)

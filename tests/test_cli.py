@@ -20,6 +20,17 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def rerun_argv(manifest):
+    """Command line that re-runs a report from its manifest's parameters."""
+    argv = [manifest["command"]]
+    for k, v in manifest["params"].items():
+        if isinstance(v, bool):
+            argv.append(f"--{k}" if v else f"--no-{k}")
+        else:
+            argv.extend([f"--{k}", str(v)])
+    return argv
+
+
 class TestFormatSig1:
     @pytest.mark.parametrize(
         "value,expected",
@@ -173,17 +184,38 @@ class TestSimulateCommand:
 
     def test_rerun_from_manifest_params(self, capsys):
         doc = run_json(capsys, *self.ARGS)
-        params = doc["manifest"]["params"]
-        argv = ["simulate"]
-        for k, v in params.items():
-            if isinstance(v, bool):
-                argv.append(f"--{k}" if v else f"--no-{k}")
-            else:
-                argv.extend([f"--{k}", str(v)])
-        redo = run_json(capsys, *argv)
+        redo = run_json(capsys, *rerun_argv(doc["manifest"]))
         assert json.dumps(redo["results"], sort_keys=True) == json.dumps(
             doc["results"], sort_keys=True
         )
+
+    def test_config_run_reruns_from_manifest_params(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "a-delta0 = 3\naw = 0.5\ntail = 0.3\ntrials = 2e4\nseed = 42\n"
+            "protected = false\nstratified = false\ndata-mode = interior\n"
+        )
+        doc = run_json(capsys, "simulate", "--config", str(cfg), "--seed", "7")
+        params = doc["manifest"]["params"]
+        assert params["seed"] == 7  # the flag wins over the file
+        assert params["a-delta0"] == 3.0 and params["protected"] is False
+        assert "stratified" not in params
+        redo = run_json(capsys, *rerun_argv(doc["manifest"]))
+        assert json.dumps(redo["results"], sort_keys=True) == json.dumps(
+            doc["results"], sort_keys=True
+        )
+
+    def test_unknown_config_key_is_param_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a-delta0 = 3\ntials = 5\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and "'tials'" in err
+
+    def test_non_finite_point_is_param_error(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--a-delta0", "3", "--aw", "nan")
+        assert code == 2 and "width must be finite" in err
+        code, _, err = run_cli(capsys, "simulate", "--a-delta0", "inf")
+        assert code == 2 and "delta0 must be finite" in err
 
     def test_stratified_zero_width(self, capsys):
         # at width 0 interior cells read exactly at their level voltage

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from norsim.analytic import ChannelPoint, baseline_rates
-from norsim.channel import RngStream
-from norsim.codec import CodeBook, DecodeOutcome, read_byte
+from norsim.channel import RngStream, sample_read
+from norsim.codec import CodeBook, DecodeOutcome, margin_sense, read_byte
 from norsim.montecarlo import (
     BerEstimate,
     ErrorClass,
     SimConfig,
+    _CLASS_ORDER,
     _Engine,
     _stratum_weights,
     classify_error,
@@ -126,24 +127,41 @@ class TestRunTrials:
         assert e1 == e2
 
     def test_engine_matches_scalar_decoder(self):
+        # the same stream drawn through the public API, decoded one word at
+        # a time by read_byte and classified by classify_error
         cfg = SimConfig(a=0.7, tail=1.0, width=0.1, delta0=4.0, trials=1, seed=6)
-        engine = _Engine(cfg)
-        book = CodeBook.build(5)
+        grid, noise, book = cfg.grid(), cfg.noise(), CodeBook.build(5)
         rng = RngStream(99)
-        written = engine.draw_words(400, rng.gen)
-        v = engine.sample_reads(written, rng.gen)
-        decoded, passed = engine.decode(v)
-        cls = engine.classify(written, decoded, passed)
+        written_bytes = rng.gen.integers(0, 256, 400)
+        written = book.words[:256][written_bytes]
+        v = sample_read(written, grid, noise, rng)
+        want = np.zeros(6, dtype=np.int64)
         for i in range(len(v)):
-            out = read_byte(v[i], engine.grid, book)
-            assert tuple(decoded[i]) == out.word
-            assert passed[i] == out.parity_passed
-            expect = classify_error(written[i], out)
-            got = (
-                ErrorClass.NONE, ErrorClass.TYPE_I, ErrorClass.TYPE_II,
-                ErrorClass.TYPE_III, ErrorClass.OTHER,
-            )[cls[i]]
-            assert got is expect
+            out = read_byte(v[i], grid, book)
+            want[_CLASS_ORDER.index(classify_error(written[i], out))] += 1
+            flips = 8 if out.byte is None else bin(written_bytes[i] ^ out.byte).count("1")
+            want[5] += flips
+        assert want[1:5].sum() > 0
+        got = _Engine(cfg).tally(RngStream(99), 400)
+        assert got.tolist() == want.tolist()
+
+    def test_engine_matches_margin_sensing_unprotected(self):
+        cfg = SimConfig(a=0.7, tail=1.0, width=0.1, delta0=4.0, trials=1, seed=6,
+                        protected=False)
+        grid, noise = cfg.grid(), cfg.noise()
+        rng = RngStream(98)
+        written = rng.gen.integers(0, 4, (400, 4))
+        v = sample_read(written, grid, noise, rng)
+        want = np.zeros(6, dtype=np.int64)
+        for i in range(len(v)):
+            sensed = margin_sense(v[i], grid)
+            want[4 if (sensed != written[i]).any() else 0] += 1
+            # with 4 levels a word's radix-4 value is its byte
+            wb, sb = (int("".join(map(str, w)), 4) for w in (written[i], sensed))
+            want[5] += bin(wb ^ sb).count("1")
+        assert want[4] > 0
+        got = _Engine(cfg).tally(RngStream(98), 400)
+        assert got.tolist() == want.tolist()
 
     def test_events_bounded_by_hamming_bits(self):
         cfg = SimConfig(a=1.0, tail=1.0, width=0.0, delta0=3.0, trials=100_000, seed=7)
@@ -268,6 +286,23 @@ class TestStratified:
         est = run_stratified(cfg)
         assert est.event_rate_per_bit > 0
         assert variance_reduction_factor(est) > 10
+
+    def test_zero_events_keep_a_positive_upper_bound(self):
+        cfg = SimConfig(a=1.0, tail=1e-3, width=1.0, delta0=30.0, trials=1, seed=0,
+                        stratified=True, subtrials_per_stratum=1_000)
+        est = run_stratified(cfg)
+        assert est.word_error_events == 0
+        lo, hi = est.ci95
+        assert lo == 0.0 and hi > 0.0
+
+    def test_ci_contains_point_estimate(self):
+        # the second point leaves stratum 1 with few or no events
+        for base in (self.BASE, dict(a=1.0, tail=1e-3, width=6.9, delta0=6.9,
+                                     data_mode="interior")):
+            est = run_stratified(SimConfig(trials=1, seed=22, stratified=True,
+                                           subtrials_per_stratum=5_000, **base))
+            assert est.ci95[0] <= est.event_rate_per_bit <= est.ci95[1]
+            assert est.ci95[0] < est.ci95[1]
 
     def test_variance_reduction_needs_stratified_estimate(self):
         est = run_trials(SimConfig(trials=1_000, seed=17, **self.BASE))
