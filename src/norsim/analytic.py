@@ -205,10 +205,11 @@ def scaling_sweep(
 
 
 def fit_loglog_slope(e0s, e2s) -> float | None:
-    """Least-squares slope of log(e2) vs log(e0); None for fewer than 2 points."""
+    """Least-squares slope of log(e2) vs log(e0); None for fewer than 2
+    distinct e0 values, where no line is determined."""
     e0s = np.asarray(e0s, dtype=float)
     e2s = np.asarray(e2s, dtype=float)
-    if e0s.size < 2:
+    if np.unique(e0s).size < 2:
         return None
     if np.any(e0s <= 0.0) or np.any(e2s <= 0.0):
         raise ValueError("slope fit requires positive rates")

@@ -192,6 +192,26 @@ def _sample_conditioned(centers, tail_mask, noise: NoiseModel, gen: np.random.Ge
     return v, np.where(tail_mask, side, 0)
 
 
+def _sample(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, size, force_tail):
+    """(voltage, side) draws shared by the two samplers; force_tail None
+    draws one uniform per read that picks tail or interior."""
+    _check_pair(grid, noise)
+    centers = grid.level_voltage(level_index)
+    if size is not None:
+        if np.ndim(level_index) != 0:
+            raise ValueError("size is only valid with a scalar level_index")
+        centers = np.full(size, centers)
+    shape = np.shape(centers)
+    if force_tail is None:
+        mask = rng.gen.random(shape) < noise.tail
+    else:
+        mask = np.full(shape, bool(force_tail))
+    v, side = _sample_conditioned(centers, mask, noise, rng.gen)
+    if np.ndim(v) == 0:
+        return float(v), int(side)
+    return v, side
+
+
 def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, size=None):
     """Sample read voltages from the read law.
 
@@ -202,15 +222,7 @@ def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream,
     per read picks tail or interior before the conditioned draw, so the
     number of variates consumed does not depend on the sampled values.
     """
-    _check_pair(grid, noise)
-    centers = grid.level_voltage(level_index)
-    if size is not None:
-        if np.ndim(level_index) != 0:
-            raise ValueError("size is only valid with a scalar level_index")
-        centers = np.full(size, centers)
-    u_mix = rng.gen.random(np.shape(centers))
-    v, _ = _sample_conditioned(centers, u_mix < noise.tail, noise, rng.gen)
-    return float(v) if np.ndim(v) == 0 else v
+    return _sample(level_index, grid, noise, rng, size, None)[0]
 
 
 def sample_read_conditioned(
@@ -228,15 +240,4 @@ def sample_read_conditioned(
     -1/+1 for tail draws and 0 for interior draws.  With width == 0 the
     interior is a point mass, so force_tail=False returns the level voltage.
     """
-    _check_pair(grid, noise)
-    centers = grid.level_voltage(level_index)
-    scalar = size is None and np.ndim(level_index) == 0
-    if size is not None:
-        if np.ndim(level_index) != 0:
-            raise ValueError("size is only valid with a scalar level_index")
-        centers = np.full(size, centers)
-    mask = np.full(np.shape(centers), bool(force_tail))
-    v, side = _sample_conditioned(centers, mask, noise, rng.gen)
-    if scalar:
-        return float(v), int(side)
-    return v, side
+    return _sample(level_index, grid, noise, rng, size, force_tail)

@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -57,22 +56,6 @@ def format_sig1(x: float) -> str:
     if x == 0:
         return "0.E+00"
     return f"{x:.0E}".replace("E", ".E")
-
-
-@dataclass
-class RunManifest:
-    command: str
-    params: dict
-    out: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": __version__,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "params": self.params,
-            "out": self.out,
-        }
 
 
 # ---------------------------------------------------------------- helpers
@@ -111,9 +94,12 @@ def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
         flag, name = flags.get(key), key.replace("_", "-")
         if flag is None or key in ("help", "config"):
             raise ValueError(f"{path}: {name!r} is not a flag of {args.command}")
-        if getattr(args, key) is not None:
+        if hasattr(args, key):
             continue
-        val = _as_bool(raw) if flag.nargs == 0 else (flag.type or str)(raw)
+        try:
+            val = _as_bool(raw) if flag.nargs == 0 else (flag.type or str)(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{path}: {name} {exc}") from None
         if flag.choices is not None and val not in flag.choices:
             raise ValueError(f"{path}: {name} must be one of {flag.choices}")
         # a store_true switch has no --no- form: false is the same as absent
@@ -121,25 +107,32 @@ def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
             setattr(args, key, val)
 
 
-def _resolve(args, key: str, default):
-    """Flag (or config-file) value if given, else default."""
-    val = getattr(args, key, None)
-    return default if val is None else val
+def _count(text: str) -> int:
+    """A whole number >= 1, also in 1e6-style notation."""
+    try:
+        val = int(text)
+    except ValueError:
+        try:
+            val = float(text)
+        except ValueError:
+            val = math.nan
+        val = int(val) if val.is_integer() else 0  # 0 is rejected below
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return val
 
 
 def _resolve_point(args) -> tuple[float, float, float]:
     """(a_delta0, a_w, tail) from --a-delta0 xor --exp-margin plus flags."""
-    ad0 = _resolve(args, "a_delta0", None)
-    em = _resolve(args, "exp_margin", None)
+    ad0 = getattr(args, "a_delta0", None)
+    em = getattr(args, "exp_margin", None)
     if (ad0 is None) == (em is None):
         raise ValueError("give exactly one of --a-delta0 and --exp-margin")
     if em is not None:
         if not 0.0 < em < 1.0:
             raise ValueError(f"--exp-margin must be in (0, 1), got {em}")
         ad0 = -math.log(em)
-    aw = _resolve(args, "aw", 0.0)
-    tail = _resolve(args, "tail", 1.0)
-    return ad0, aw, tail
+    return ad0, getattr(args, "aw", 0.0), getattr(args, "tail", 1.0)
 
 
 def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
@@ -195,15 +188,13 @@ def _csv_num(v) -> str:
     return str(v)
 
 
-def _flatten(d: dict, prefix: str = "") -> dict:
+def _flatten(d, prefix: str = "") -> dict:
+    """Leaves of nested dicts and lists keyed by dotted paths (list items by index)."""
     out = {}
-    for k, v in d.items():
+    for k, v in d.items() if isinstance(d, dict) else enumerate(d):
         key = f"{prefix}{k}"
-        if isinstance(v, dict):
+        if isinstance(v, (dict, list, tuple)):
             out.update(_flatten(v, key + "."))
-        elif isinstance(v, (list, tuple)):
-            for i, x in enumerate(v):
-                out[f"{key}.{i}"] = x
         else:
             out[key] = v
     return out
@@ -285,25 +276,34 @@ def _analytic_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# simulation flag -> SimConfig field; a flag not given keeps the field's default
+_SIM_FIELDS = {
+    "protected": "protected",
+    "trials": "trials",
+    "seed": "seed",
+    "shards": "shards",
+    "stratified": "stratified",
+    "data_mode": "data_mode",
+    "subtrials": "subtrials_per_stratum",
+}
+
+
 def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
-    subtrials = _resolve(args, "subtrials", None)
-    return SimConfig(
-        a=1.0,
-        tail=tail,
-        width=aw,
-        delta0=a_delta0,
-        protected=_resolve(args, "protected", True),
-        trials=int(_resolve(args, "trials", 1_000_000)),
-        seed=_resolve(args, "seed", 0),
-        shards=_resolve(args, "shards", 1),
-        stratified=_resolve(args, "stratified", False),
-        data_mode=_resolve(args, "data_mode", "uniform"),
-        subtrials_per_stratum=int(subtrials) if subtrials else None,
-    )
+    given = {f: getattr(args, k) for k, f in _SIM_FIELDS.items() if hasattr(args, k)}
+    return SimConfig(a=1.0, tail=tail, width=aw, delta0=a_delta0, **given)
 
 
 def _estimate(config: SimConfig):
     return run_stratified(config) if config.stratified else run_trials(config)
+
+
+# error class -> its closed-form rate in ErrorBudget
+_BUDGET_FIELDS = {
+    "type_i": "e2_i",
+    "type_ii": "e2_ii",
+    "type_iii": "e2_iii",
+    "total": "e2_total",
+}
 
 
 def cmd_simulate(args) -> dict:
@@ -315,32 +315,19 @@ def cmd_simulate(args) -> dict:
     nbits = est.trials * 8
     if config.protected:
         budget = protected_rates(point)
-        doc["analytic"] = {
-            "e2_i": budget.e2_i,
-            "e2_ii": budget.e2_ii,
-            "e2_iii": budget.e2_iii,
-            "e2_total": budget.e2_total,
-        }
-        doc["empirical_rates"] = {
-            "type_i": est.per_class["type_i"] / nbits,
-            "type_ii": est.per_class["type_ii"] / nbits,
-            "type_iii": est.per_class["type_iii"] / nbits,
-            "other": est.per_class["other"] / nbits,
-            "total": est.event_rate_per_bit,
-        }
-        doc["empirical_over_analytic"] = {
-            "type_i": _safe_ratio(doc["empirical_rates"]["type_i"], budget.e2_i),
-            "type_ii": _safe_ratio(doc["empirical_rates"]["type_ii"], budget.e2_ii),
-            "type_iii": _safe_ratio(doc["empirical_rates"]["type_iii"], budget.e2_iii),
-            "total": _safe_ratio(est.event_rate_per_bit, budget.e2_total),
-        }
+        doc["analytic"] = {f: getattr(budget, f) for f in _BUDGET_FIELDS.values()}
+        analytic = {c: getattr(budget, f) for c, f in _BUDGET_FIELDS.items()}
+        rates = {c: n / nbits for c, n in est.per_class.items() if c != "none"}
     else:
         p0, e0 = baseline_rates(point)
+        analytic = {"total": e0}
         doc["analytic"] = {"p0": p0, "e0": e0}
-        doc["empirical_rates"] = {"total": est.event_rate_per_bit}
-        doc["empirical_over_analytic"] = {
-            "total": _safe_ratio(est.event_rate_per_bit, e0)
-        }
+        rates = {}
+    rates["total"] = est.event_rate_per_bit
+    doc["empirical_rates"] = rates
+    doc["empirical_over_analytic"] = {
+        c: _safe_ratio(rates[c], a) for c, a in analytic.items()
+    }
     return doc
 
 
@@ -366,15 +353,15 @@ def _simulate_text(doc: dict) -> str:
 
 
 def cmd_sweep(args) -> dict:
-    grid_text = _resolve(args, "grid", None)
+    grid_text = getattr(args, "grid", None)
     if not grid_text:
         raise ValueError("sweep requires --grid with comma-separated a*delta0 values")
     values = [float(x) for x in grid_text.split(",") if x.strip()]
     if not values:
         raise ValueError("empty sweep grid")
-    mode = _resolve(args, "mode", "analytic")
-    aw = _resolve(args, "aw", 0.0)
-    tail = _resolve(args, "tail", 1.0)
+    mode = getattr(args, "mode", "analytic")
+    aw = getattr(args, "aw", 0.0)
+    tail = getattr(args, "tail", 1.0)
 
     e0s, e2s = scaling_sweep(values, tail=tail, a_w=aw)
     rows = []
@@ -391,9 +378,7 @@ def cmd_sweep(args) -> dict:
             row["e2_simulated"] = est.event_rate_per_bit
             row["ci95_lo"], row["ci95_hi"] = est.ci95
             sim.append(est.event_rate_per_bit)
-        slopes["simulated"] = (
-            fit_loglog_slope(e0s, sim) if len(sim) >= 2 and min(sim) > 0 else None
-        )
+        slopes["simulated"] = fit_loglog_slope(e0s, sim) if min(sim) > 0 else None
     return {"rows": rows, "slopes": slopes}
 
 
@@ -449,17 +434,21 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser whose namespace holds exactly the flags given: no flag has a
+    default, so SimConfig's fields hold the simulation defaults."""
     parser = argparse.ArgumentParser(
         prog="norsim",
         description="Five-level parity-coded NOR storage: analytics and simulation",
+        argument_default=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, point=False, sim=False):
+    def add_command(name, about, point=False, sim=False):
+        p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="flat key = value file mirroring flag names")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument(
-            "--format", choices=("table", "csv", "json"), default=None,
+            "--format", choices=("table", "csv", "json"),
             help="output format (default table)",
         )
         if point:
@@ -469,71 +458,73 @@ def build_parser() -> argparse.ArgumentParser:
                 "--exp-margin", type=float,
                 help="exp(-a*delta0), alternative to --a-delta0",
             )
+        if point or sim:
             p.add_argument("--aw", type=float, help="dimensionless a*width (default 0)")
             p.add_argument("--tail", type=float, help="tail fraction (default 1)")
         if sim:
             p.add_argument(
-                "--protected", action=argparse.BooleanOptionalAction, default=None,
+                "--protected", action=argparse.BooleanOptionalAction,
                 help="5-level coded system (default) vs 4-level margin sensing",
             )
-            p.add_argument("--trials", type=float, help="word trials (default 1e6)")
-            p.add_argument("--seed", type=int, help="random seed (default 0)")
-            p.add_argument("--shards", type=int, help="independent streams (default 1)")
             p.add_argument(
-                "--stratified", action="store_true", default=None,
+                "--trials", type=_count, help=f"word trials (default {SimConfig.trials:,})"
+            )
+            p.add_argument(
+                "--seed", type=int, help=f"random seed (default {SimConfig.seed})"
+            )
+            p.add_argument(
+                "--shards", type=int, help=f"independent streams (default {SimConfig.shards})"
+            )
+            p.add_argument(
+                "--stratified", action="store_true",
                 help="tail-count stratified rare-event estimator",
             )
             p.add_argument(
-                "--subtrials", type=float,
+                "--subtrials", type=_count,
                 help="sub-trials per stratum (stratified runs)",
             )
             p.add_argument(
-                "--data-mode", choices=("uniform", "interior"), default=None,
+                "--data-mode", choices=("uniform", "interior"),
                 help="written data: uniform bytes or interior-level words",
             )
+        return p
 
-    add_common(sub.add_parser("table1", help="render the reference operating table"))
-    add_common(sub.add_parser("analytic", help="closed-form error budget"), point=True)
-    add_common(
-        sub.add_parser("simulate", help="Monte Carlo error-rate estimate"),
-        point=True,
-        sim=True,
-    )
-    p_sweep = sub.add_parser("sweep", help="scan a*delta0 and fit the log-log slope")
-    add_common(p_sweep, point=False, sim=True)
+    add_command("table1", "render the reference operating table")
+    add_command("analytic", "closed-form error budget", point=True)
+    add_command("simulate", "Monte Carlo error-rate estimate", point=True, sim=True)
+    p_sweep = add_command("sweep", "scan a*delta0 and fit the log-log slope", sim=True)
     p_sweep.add_argument("--grid", help="comma-separated a*delta0 values")
-    p_sweep.add_argument("--aw", type=float, help="dimensionless a*width (default 0)")
-    p_sweep.add_argument("--tail", type=float, help="tail fraction (default 1)")
     p_sweep.add_argument(
-        "--mode", choices=("analytic", "simulate", "both"), default=None,
+        "--mode", choices=("analytic", "simulate", "both"),
         help="which rates to compute per grid point",
     )
-    add_common(sub.add_parser("roundtrip", help="exhaustive codec self-test"))
+    add_command("roundtrip", "exhaustive codec self-test")
     return parser
 
 
 def _public_params(args) -> dict:
     skip = {"command", "config", "out", "format"}
-    return {
-        k.replace("_", "-"): v
-        for k, v in sorted(vars(args).items())
-        if k not in skip and v is not None
-    }
+    return {k.replace("_", "-"): v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
+        if hasattr(args, "config"):
             _apply_config(args, parser, args.config)
+        out = getattr(args, "out", None)
         runner, renderer = _COMMANDS[args.command]
         results = runner(args)
-        manifest = RunManifest(
-            command=args.command, params=_public_params(args), out=args.out
-        )
-        doc = {"manifest": manifest.to_dict(), "results": results}
-        _emit(doc, _resolve(args, "format", "table"), args.out, renderer)
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "params": _public_params(args),
+            "out": out,
+        }
+        doc = {"manifest": manifest, "results": results}
+        _emit(doc, getattr(args, "format", "table"), out, renderer)
     except (ValueError, OSError) as exc:
         print(f"norsim: error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,15 @@
 
 import json
 import math
+import shlex
+import warnings
+from pathlib import Path
 
 import pytest
 
-from norsim.cli import format_sig1, main
+from norsim.cli import build_parser, format_sig1, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +23,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+def exit_code(capsys, *argv):
+    """(exit status, stderr) of a run, argparse rejections included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 def rerun_argv(manifest):
@@ -140,6 +154,8 @@ class TestSimulateCommand:
         doc = run_json(capsys, *self.ARGS)
         est = doc["results"]["estimate"]
         assert est["trials"] == 20_000
+        assert doc["manifest"]["params"]["trials"] == 20_000
+        assert isinstance(doc["manifest"]["params"]["trials"], int)
         assert est["word_error_events"] > 0
         assert doc["results"]["analytic"]["e2_total"] > 0
         assert "type_ii" in doc["results"]["empirical_over_analytic"]
@@ -162,6 +178,31 @@ class TestSimulateCommand:
                        "--seed", "1")
         est = doc["results"]["estimate"]
         assert est["weighted"] and len(est["strata"]) == 5
+
+    def test_stratified_csv_rows_match_header(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--a-delta0", "4", "--aw", "1",
+                               "--tail", "0.05", "--stratified", "--subtrials", "2e3",
+                               "--seed", "1", "--format", "csv")
+        assert code == 0
+        header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+        assert len(header) == len(row)
+        assert "estimate.strata.1.events" in header
+
+    @pytest.mark.parametrize("flags", [
+        ("--stratified", "--subtrials", "0", "--trials", "400"),
+        ("--trials", "0"),
+        ("--trials", "2.5"),
+        ("--trials", "nan"),
+    ])
+    def test_count_flags_take_whole_numbers(self, capsys, flags):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", *flags)
+        assert code == 2 and "whole number >= 1" in err
+
+    def test_config_count_is_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a-delta0 = 3\nstratified = true\nsubtrials = 0\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and "subtrials must be a whole number" in err
 
     def test_statistical_outcome_never_changes_exit_code(self, capsys):
         # zero-error run still exits 0
@@ -204,6 +245,16 @@ class TestSimulateCommand:
         assert json.dumps(redo["results"], sort_keys=True) == json.dumps(
             doc["results"], sort_keys=True
         )
+
+    def test_config_sets_output_path_and_format(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a-delta0 = 3\ntrials = 100\nformat = json\nout = {report}\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0 and out == ""
+        doc = json.loads(report.read_text())
+        assert doc["manifest"]["out"] == str(report)
+        assert doc["results"]["estimate"]["trials"] == 100
 
     def test_unknown_config_key_is_param_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -248,6 +299,12 @@ class TestSweepCommand:
         doc = run_json(capsys, "sweep", "--grid", "6")
         assert doc["results"]["slopes"]["analytic"] is None
 
+    def test_repeated_point_slope_absent(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no polyfit RankWarning either
+            doc = run_json(capsys, "sweep", "--grid", "5,5")
+        assert doc["results"]["slopes"]["analytic"] is None
+
     def test_simulated_sweep(self, capsys):
         doc = run_json(capsys, "sweep", "--grid", "3,4", "--mode", "both",
                        "--trials", "5e4", "--seed", "3", "--data-mode", "interior")
@@ -287,3 +344,14 @@ class TestRoundtripCommand:
         assert "ok  zero_noise_roundtrip_256" in out
         assert "ok  codeword_count_313" in out
         assert "FAIL" not in out
+
+
+def test_readme_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(l, comments=True) for l in lines) if argv]
+    assert commands and all(argv[0] == "norsim" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

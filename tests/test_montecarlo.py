@@ -304,6 +304,21 @@ class TestStratified:
             assert est.ci95[0] <= est.event_rate_per_bit <= est.ci95[1]
             assert est.ci95[0] < est.ci95[1]
 
+    def test_weighted_wilson_coverage(self):
+        # 0.91 is the 1% lower quantile of Binomial(200, 0.95) / 200
+        base = dict(a=1.0, tail=0.05, width=1.0, delta0=4.0)
+        true_rate = run_trials(
+            SimConfig(trials=4_000_000, seed=0, **base)
+        ).event_rate_per_bit
+        covered = 0
+        for seed in range(200):
+            lo, hi = run_stratified(
+                SimConfig(trials=1, seed=seed, stratified=True,
+                          subtrials_per_stratum=2_000, **base)
+            ).ci95
+            covered += lo <= true_rate <= hi
+        assert covered / 200 >= 0.91
+
     def test_variance_reduction_needs_stratified_estimate(self):
         est = run_trials(SimConfig(trials=1_000, seed=17, **self.BASE))
         with pytest.raises(ValueError):
