@@ -175,21 +175,24 @@ def read_density(v, level_index, grid: LevelGrid, noise: NoiseModel):
     return float(out) if np.ndim(v) == 0 and np.ndim(level_index) == 0 else out
 
 
-def _sample_conditioned(centers, tail_mask, noise: NoiseModel, gen: np.random.Generator):
-    """Draw reads with the tail/interior split forced by ``tail_mask``.
+def _sample_conditioned(tail_mask, noise: NoiseModel, gen: np.random.Generator):
+    """Read voltages minus level voltages, with the tail/interior split
+    forced by ``tail_mask``; draws one uniform u per cell.
 
-    Returns (voltages, sides) with side -1/+1 for tail draws and 0 for
-    interior draws; at width 0 an interior draw is the level voltage.
+    A tail cell reads below its window for u < 1/2 and above it
+    otherwise, at the excess -log1p(-r) / (2a) past the window edge,
+    where r = 2u - [u >= 1/2] is uniform on [0, 1) on either side.  r is a
+    multiple of 2^-52 below 1, so the excess is at most 52 ln 2 / (2a),
+    which cuts off a tail mass of 2^-52 = 2.2e-16.  An interior cell reads
+    width * (u - 1/2) from its level, the level itself at width 0.  The
+    sign bit of a tail cell's offset is its side, also at offset zero.
     """
-    shape = np.shape(centers)
-    u_side = gen.random(shape)
-    u_pos = gen.random(shape)
-    mag = gen.exponential(1.0 / (2.0 * noise.a), shape)
-    side = np.where(u_side < 0.5, -1, 1)
-    tails = centers + side * (noise.width / 2.0 + mag)
-    interior = centers + noise.width * (u_pos - 0.5)
-    v = np.where(tail_mask, tails, interior)
-    return v, np.where(tail_mask, side, 0)
+    u = gen.random(np.shape(tail_mask))
+    two_u = 2.0 * u
+    minus_r = np.floor(two_u) - two_u
+    edge_offset = noise.width / 2.0 - np.log1p(minus_r) / (2.0 * noise.a)
+    half = u - 0.5
+    return np.where(tail_mask, np.copysign(edge_offset, half), noise.width * half)
 
 
 def _sample(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, size, force_tail):
@@ -206,7 +209,9 @@ def _sample(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, siz
         mask = rng.gen.random(shape) < noise.tail
     else:
         mask = np.full(shape, bool(force_tail))
-    v, side = _sample_conditioned(centers, mask, noise, rng.gen)
+    offset = _sample_conditioned(mask, noise, rng.gen)
+    v = centers + offset
+    side = np.where(mask, np.where(np.signbit(offset), -1, 1), 0)
     if np.ndim(v) == 0:
         return float(v), int(side)
     return v, side
@@ -220,7 +225,8 @@ def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream,
     excess of rate 2*a.  ``level_index`` may be a scalar or an array;
     ``size`` draws that many reads of a single scalar level.  One uniform
     per read picks tail or interior before the conditioned draw, so the
-    number of variates consumed does not depend on the sampled values.
+    number of variates consumed does not depend on the sampled values:
+    two uniforms per read.
     """
     return _sample(level_index, grid, noise, rng, size, None)[0]
 

@@ -107,19 +107,28 @@ def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
             setattr(args, key, val)
 
 
-def _count(text: str) -> int:
-    """A whole number >= 1, also in 1e6-style notation."""
-    try:
-        val = int(text)
-    except ValueError:
+def _whole(minimum: int):
+    """Argument type: a whole number >= ``minimum``, also in 1e6-style notation."""
+
+    def parse(text: str) -> int:
         try:
-            val = float(text)
+            val = int(text)
         except ValueError:
-            val = math.nan
-        val = int(val) if val.is_integer() else 0  # 0 is rejected below
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
-    return val
+            try:
+                val = float(text)
+            except ValueError:
+                val = math.nan
+            val = int(val) if val.is_integer() else None
+        if val is None or val < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be a whole number >= {minimum}, got {text!r}"
+            )
+        return val
+
+    return parse
+
+
+_count = _whole(1)
 
 
 def _resolve_point(args) -> tuple[float, float, float]:
@@ -290,6 +299,12 @@ _SIM_FIELDS = {
 
 def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
     given = {f: getattr(args, k) for k, f in _SIM_FIELDS.items() if hasattr(args, k)}
+    if given.get("stratified"):
+        # each stratum is one stream of --subtrials words, or --trials / 4
+        if "shards" in given:
+            raise ValueError("--shards does not apply to a stratified run")
+        if "trials" in given and "subtrials_per_stratum" in given:
+            raise ValueError("--trials does not apply to a stratified run given --subtrials")
     return SimConfig(a=1.0, tail=tail, width=aw, delta0=a_delta0, **given)
 
 
@@ -470,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--trials", type=_count, help=f"word trials (default {SimConfig.trials:,})"
             )
             p.add_argument(
-                "--seed", type=int, help=f"random seed (default {SimConfig.seed})"
+                "--seed", type=_whole(0),
+                help=f"random seed, a whole number >= 0 (default {SimConfig.seed})",
             )
             p.add_argument(
                 "--shards", type=int, help=f"independent streams (default {SimConfig.shards})"

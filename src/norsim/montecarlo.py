@@ -6,18 +6,22 @@ sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
 Both estimators run one unit of work, ``_Engine.tally(rng, n, k)``:
-it draws n words from one random stream and returns their class counts
-and payload bit flips.  Per batch the stream is consumed in a fixed
-order, which is the stream contract: the written words (one pool index
-per word, or one symbol per cell when unprotected), then one uniform per
-cell that picks the tail cells, then the conditioned read sampler.  A
-plain run marks a cell as tail when its uniform is below the tail
-fraction; stratum k of a stratified run marks the k cells with the
-smallest uniforms, a uniformly random k-subset.
+it draws n words from one random stream in batches of 2^14 words and
+returns their class counts and payload bit flips.  Per batch the stream
+is consumed in a fixed order, which is the stream contract: the written
+words (one pool index per word, or one symbol per cell when
+unprotected), then one mask uniform per cell that picks the tail cells,
+then one value uniform per cell for the conditioned read sampler
+(``channel._sample_conditioned``).  A plain run marks a cell as tail when
+its mask uniform is below the tail fraction; stratum k of a stratified
+run marks cell j when entry j of the argsort of the word's mask uniforms
+is below k, a uniformly random k-subset.
 
 Plain trials are sharded deterministically: trial t belongs to shard
-t mod shards, and shard i consumes the random stream (seed, i), so a
-given (seed, shards) pair is bit-reproducible regardless of scheduling.
+t mod shards, and shard i consumes the random stream (seed, i).  Shards,
+and the strata of a stratified run, are tasks on a thread pool of at most
+``os.cpu_count()`` workers, merged in task order, so a given (seed,
+shards) pair is bit-reproducible for any worker count and scheduling.
 The tail-stratified estimator conditions on the number k of tail cells
 per word, the rare-event driver at small tail fractions, and runs
 stratum k on stream (seed, 10000 + k); cells inside the program window
@@ -28,6 +32,8 @@ accounted analytically as error-free.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -59,7 +65,7 @@ __all__ = [
 
 BITS_PER_WORD = 8  # N_CELLS cells * 2 payload bits per cell
 
-_BATCH = 1 << 20
+_BATCH = 1 << 14
 
 _Z95 = 1.959963984540054
 
@@ -119,6 +125,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.data_mode not in ("uniform", "interior"):
@@ -258,20 +266,25 @@ class _Engine:
             if self.data_pool is None:
                 written = gen.integers(self.symbol_low, self.symbol_high, (m, N_CELLS))
             else:
-                written = self.data_pool[gen.integers(0, len(self.data_pool), m)]
+                written = self.data_pool.take(gen.integers(0, len(self.data_pool), m), axis=0)
             u = gen.random((m, N_CELLS))
             tail_mask = u < self.noise.tail if k is None else u.argsort(axis=1) < k
-            centers = self.grid.l0 + self.grid.pitch * written
-            v, _ = _sample_conditioned(centers, tail_mask, self.noise, gen)
+            v = _sample_conditioned(tail_mask, self.noise, gen)
+            v += self.grid.l0 + self.grid.pitch * written
             if self.config.protected:
                 _, decoded, passed = decode(v, self.grid)
             else:
                 decoded, passed = margin_sense(v, self.grid), None
+            # only the few wrong rows are classified and counted in bits; a
+            # row's 4 cell flags read as one uint32 are nonzero iff any is set
+            bad = np.flatnonzero((decoded != written).view(np.uint32))
+            written, decoded = written[bad], decoded[bad]
+            passed = None if passed is None else passed[bad]
             cls = _classify(written, decoded, passed, self.config.protected)
             counts[:5] += np.bincount(cls, minlength=5)
-            err = cls != 0
-            wb = self.byte_lut[written[err] @ self.radix]
-            db = self.byte_lut[decoded[err] @ self.radix]
+            counts[0] += m - len(bad)
+            wb = self.byte_lut[written @ self.radix]
+            db = self.byte_lut[decoded @ self.radix]
             # an unmapped decode counts as a full byte
             counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
         return counts
@@ -287,6 +300,16 @@ def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
     return _CLASS_ORDER[code[0]]
 
 
+def _pool_map(fn, tasks) -> list:
+    """``fn`` over the sequence ``tasks`` on a thread pool, results in task order.
+
+    numpy releases the interpreter lock in the engine's kernels, and every
+    task owns its random stream, so results equal a serial run's for any
+    number of workers."""
+    with ThreadPoolExecutor(min(len(tasks), os.cpu_count() or 1) or 1) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def run_trials(config: SimConfig) -> BerEstimate:
     """Plain Monte Carlo: write random data, read, decode, classify."""
     if config.stratified:
@@ -296,8 +319,10 @@ def run_trials(config: SimConfig) -> BerEstimate:
     # the last trial are empty and draw nothing
     n, shards = config.trials, config.shards
     counts = sum(
-        engine.tally(RngStream(config.seed, i), len(range(i, n, shards)))
-        for i in range(min(shards, n))
+        _pool_map(
+            lambda i: engine.tally(RngStream(config.seed, i), len(range(i, n, shards))),
+            range(min(shards, n)),
+        )
     )
     events = int(counts[1:5].sum())
     hamming = int(counts[5])
@@ -344,6 +369,11 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     weights = _stratum_weights(config.tail)
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
 
+    simulated = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
+    tallies = _pool_map(
+        lambda k: engine.tally(RngStream(config.seed, 10_000 + k), n_per, k), simulated
+    )
+    counts_of = dict(zip(simulated, tallies))
     p_hat = 0.0
     ci_lo = ci_hi = 0.0
     ham_rate = 0.0
@@ -352,10 +382,10 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     strata: list[StratumResult] = []
     for k in range(N_CELLS + 1):
         w = float(weights[k])
-        if k == 0 or w == 0.0:
+        if k not in counts_of:
             strata.append(StratumResult(k, w, 0, 0, 0.0, simulated=False))
             continue
-        counts = engine.tally(RngStream(config.seed, 10_000 + k), n_per, k)
+        counts = counts_of[k]
         events_k = int(counts[1:5].sum())
         mean_k = events_k / n_per
         p_hat += w * mean_k

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from norsim.channel import (
@@ -14,6 +15,7 @@ from norsim.channel import (
     five_level_grid,
     four_level_grid,
     read_density,
+    _sample_conditioned,
     sample_read,
     sample_read_conditioned,
 )
@@ -204,7 +206,7 @@ class TestSampleRead:
         assert not np.array_equal(v1, v3)
         # counter-based stream pinned across platforms and versions
         assert v1 == pytest.approx(
-            [0.15799179, -0.14932561, 2.17078058, 0.16826525, -0.01866589], abs=1e-8
+            [-0.06225432, -0.09354317, 0.36610009, 0.09464158, 0.22385053], abs=1e-8
         )
 
     def test_vector_levels(self):
@@ -281,3 +283,59 @@ class TestRngStream:
         c = RngStream(124, 0).gen.random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator that hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+class TestConditionedSamplerLaw:
+    """Fixed-seed draws of sample_read_conditioned against the read law.
+
+    Tolerances were fixed before the first run: 5 sigma on the side
+    fraction and KS p-values above 1e-3."""
+
+    A, W, N = 1.5, 0.6, 200_000
+
+    def setup_method(self):
+        self.grid = LevelGrid(n_levels=4, margin=1.0, width=self.W)
+        self.noise = NoiseModel(a=self.A, tail=0.01, width=self.W)
+
+    def test_tail_sides_and_excess(self):
+        v, side = sample_read_conditioned(
+            2, self.grid, self.noise, True, RngStream(31), size=self.N
+        )
+        d = v - self.grid.levels[2]
+        assert np.array_equal(side, np.where(d < 0, -1, 1))
+        assert abs((side > 0).mean() - 0.5) <= 5 * 0.5 / math.sqrt(self.N)
+        excess = np.abs(d) - self.W / 2
+        law = stats.expon(scale=1 / (2 * self.A)).cdf
+        for s in (-1, 1):
+            assert stats.kstest(excess[side == s], law).pvalue > 1e-3
+
+    def test_interior_is_uniform_on_the_window(self):
+        v, side = sample_read_conditioned(
+            1, self.grid, self.noise, False, RngStream(32), size=self.N
+        )
+        d = v - self.grid.levels[1]
+        assert np.all(side == 0) and np.all(np.abs(d) <= self.W / 2)
+        law = stats.uniform(loc=-self.W / 2, scale=self.W).cdf
+        assert stats.kstest(d, law).pvalue > 1e-3
+
+    def test_excess_bound_at_extreme_uniforms(self):
+        # 0 and 1/2 give zero excess below and above the window; the
+        # largest uniforms below 1/2 and 1 give the largest excess
+        a = 2.0
+        noise = NoiseModel(a=a, tail=1.0, width=0.0)
+        u = [0.0, 0.5, 0.5 - 2**-53, 1 - 2**-53]
+        off = _sample_conditioned(np.ones(4, bool), noise, _FixedUniforms(u))
+        assert off[0] == 0.0 and np.signbit(off[0])
+        assert off[1] == 0.0 and not np.signbit(off[1])
+        bound = 52 * math.log(2) / (2 * a)
+        assert off[2:] == pytest.approx([-bound, bound], rel=1e-12)

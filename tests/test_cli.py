@@ -198,6 +198,36 @@ class TestSimulateCommand:
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", *flags)
         assert code == 2 and "whole number >= 1" in err
 
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--seed", "-1")
+        assert code == 2 and "--seed" in err and "whole number >= 0" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a-delta0 = 3\nseed = -1\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and "seed must be a whole number >= 0" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--shards", "3", "--subtrials", "10"), "--shards"),
+        (("--shards", "2"), "--shards"),
+        (("--trials", "5", "--subtrials", "10"), "--trials"),
+    ])
+    def test_stratified_rejects_flags_it_does_not_use(self, capsys, flags, named):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
+                              "--stratified", *flags)
+        assert code == 2 and named in err
+
+    def test_stratified_config_rejects_shards(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a-delta0 = 3\ntail = 0.1\nstratified = true\nshards = 3\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and "--shards" in err
+
+    def test_stratified_trials_alone_sets_the_stratum_size(self, capsys):
+        doc = run_json(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
+                       "--stratified", "--trials", "400")
+        strata = doc["results"]["estimate"]["strata"]
+        assert [s["trials"] for s in strata if s["simulated"]] == [100] * 4
+
     def test_config_count_is_checked(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a-delta0 = 3\nstratified = true\nsubtrials = 0\n")

@@ -14,25 +14,25 @@ PLAIN = {
     "protected_uniform_2_shards": (
         dict(a=1.0, tail=1.0, width=0.0, delta0=4.0, trials=1 << 16, seed=7, shards=2),
         dict(
-            events=2971,
-            hamming=10819,
+            events=2870,
+            hamming=10746,
             per_class={
-                "none": 62565, "type_i": 579, "type_ii": 118, "type_iii": 1138,
-                "other": 1136,
+                "none": 62666, "type_i": 603, "type_ii": 94, "type_iii": 1082,
+                "other": 1091,
             },
-            ci95=(0.0054709492360392985, 0.0058691786283157805),
+            ci95=(0.005281573050152177, 0.005673292972886657),
         ),
     ),
     "protected_clamping": (
         dict(a=1.0, tail=1.0, width=0.0, delta0=1.0, trials=1 << 15, seed=3),
         dict(
-            events=25153,
-            hamming=96689,
+            events=25093,
+            hamming=96464,
             per_class={
-                "none": 7615, "type_i": 11930, "type_ii": 1548, "type_iii": 4245,
-                "other": 7430,
+                "none": 7675, "type_i": 11865, "type_ii": 1537, "type_iii": 4190,
+                "other": 7501,
             },
-            ci95=(0.09537555188170234, 0.09651876660676777),
+            ci95=(0.09514513449503599, 0.09629147397982842),
         ),
     ),
     "unprotected_interior_3_shards": (
@@ -41,12 +41,12 @@ PLAIN = {
             data_mode="interior", trials=50_000, seed=11, shards=3,
         ),
         dict(
-            events=9260,
-            hamming=15040,
+            events=9175,
+            hamming=14802,
             per_class={
-                "none": 40740, "type_i": 0, "type_ii": 0, "type_iii": 0, "other": 9260,
+                "none": 40825, "type_i": 0, "type_ii": 0, "type_iii": 0, "other": 9175,
             },
-            ci95=(0.02272741147470248, 0.02357863451697273),
+            ci95=(0.022516443784838934, 0.023364634856727788),
         ),
     ),
 }
@@ -70,15 +70,15 @@ def test_stratified_run_is_pinned():
         )
     )
     assert [(s.trials, s.events) for s in est.strata] == [
-        (0, 0), (16384, 6), (16384, 140), (16384, 294), (16384, 526),
+        (0, 0), (16384, 5), (16384, 137), (16384, 288), (16384, 516),
     ]
-    assert est.word_error_events == pytest.approx(0.099070272664, rel=1e-12)
-    assert est.bit_errors_hamming == pytest.approx(0.331226226156, rel=1e-12)
+    assert est.word_error_events == pytest.approx(0.083046272664, rel=1e-12)
+    assert est.bit_errors_hamming == pytest.approx(0.283991827536, rel=1e-12)
     want = {
-        "none": 65535.90092972734,
-        "type_i": 0.00036038366400000004,
+        "none": 65535.916953727334,
+        "type_i": 0.000407760268,
         "type_ii": 0.0,
-        "type_iii": 0.06498332849200002,
-        "other": 0.033726560508,
+        "type_iii": 0.033367040407999995,
+        "other": 0.049271471988,
     }
     assert est.per_class == pytest.approx(want, rel=1e-12)

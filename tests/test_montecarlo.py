@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +325,52 @@ class TestStratified:
         est = run_trials(SimConfig(trials=1_000, seed=17, **self.BASE))
         with pytest.raises(ValueError):
             variance_reduction_factor(est)
+
+
+class TestThreadPool:
+    """Shards and strata run as thread-pool tasks, each on its own stream,
+    and merge in task order: results equal a serial run's."""
+
+    BASE = dict(a=1.0, tail=0.3, width=0.5, delta0=3.0)
+
+    def test_pooled_equals_serial_tallies(self, monkeypatch):
+        plain = SimConfig(trials=40_003, seed=23, shards=5, **self.BASE)
+        strat = SimConfig(trials=1, seed=23, stratified=True,
+                          subtrials_per_stratum=5_000, **self.BASE)
+        engine = _Engine(plain)
+        serial = sum(
+            engine.tally(RngStream(23, i), len(range(i, plain.trials, 5)))
+            for i in range(5)
+        )
+        serial_strata = [
+            int(engine.tally(RngStream(23, 10_000 + k), 5_000, k)[1:5].sum())
+            for k in range(1, 5)
+        ]
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = run_trials(plain)
+            strata = [run_stratified(strat) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert est.word_error_events == int(serial[1:5].sum())
+        assert est.bit_errors_hamming == int(serial[5])
+        assert est.per_class == {
+            c.value: int(serial[i]) for i, c in enumerate(_CLASS_ORDER)
+        }
+        assert strata[0] == strata[1] == strata[2]
+        assert [s.events for s in strata[0].strata[1:]] == serial_strata
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_worker_count_does_not_change_results(self, monkeypatch, workers):
+        plain = SimConfig(trials=30_000, seed=24, shards=3, **self.BASE)
+        strat = SimConfig(trials=1, seed=24, stratified=True,
+                          subtrials_per_stratum=5_000, **self.BASE)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        want = run_trials(plain), run_stratified(strat)
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        assert (run_trials(plain), run_stratified(strat)) == want
 
 
 class TestSerialization:
