@@ -161,7 +161,10 @@ def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
 
 def _manifest_comment_lines(doc: dict) -> list[str]:
     m = doc["manifest"]
-    lines = [f"# command={m['command']} version={m['version']} created={m['created_utc']}"]
+    lines = [
+        f"# command={m['command']} version={m['version']} numpy={m['numpy']} "
+        f"created={m['created_utc']}"
+    ]
     params = " ".join(f"{k}={v}" for k, v in m["params"].items())
     lines.append(f"# params: {params}")
     return lines
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"random seed, a whole number >= 0 (default {SimConfig.seed})",
             )
             p.add_argument(
-                "--shards", type=int, help=f"independent streams (default {SimConfig.shards})"
+                "--shards", type=_count, help=f"independent streams (default {SimConfig.shards})"
             )
             p.add_argument(
                 "--stratified", action="store_true",
@@ -535,6 +538,7 @@ def main(argv=None) -> int:
         manifest = {
             "command": args.command,
             "version": __version__,
+            "numpy": np.__version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "params": _public_params(args),
             "out": out,

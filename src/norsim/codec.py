@@ -21,7 +21,6 @@ this is ``1 - 2 * |t - x|`` toward the nearer boundary and 1 away from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -50,8 +49,8 @@ def enumerate_codewords(n_levels: int) -> np.ndarray:
     """
     if n_levels < 2:
         raise ValueError(f"need at least 2 levels, got {n_levels}")
-    words = [w for w in product(range(n_levels), repeat=N_CELLS) if sum(w) % 2 == 0]
-    return np.array(words, dtype=np.int64)
+    words = np.indices((n_levels,) * N_CELLS, dtype=np.int64).reshape(N_CELLS, -1).T
+    return words[words.sum(axis=1) % 2 == 0]
 
 
 def parity_ok(symbols) -> bool:
@@ -64,43 +63,45 @@ def parity_ok(symbols) -> bool:
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Enumerated codewords plus the byte mapping (first 256 words)."""
+    """Enumerated codewords plus the byte mapping: byte b is ``words[b]``.
+
+    ``byte_of[r]`` is the byte of the word whose radix-n value is r, and
+    -1 for the codewords past the first 256 and for odd-parity words.
+    """
 
     n_levels: int
     words: np.ndarray = field(repr=False)
-    _index: dict = field(repr=False)
+    byte_of: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, n_levels: int = 5) -> "CodeBook":
         words = enumerate_codewords(n_levels)
-        index = {tuple(int(x) for x in w): i for i, w in enumerate(words)}
-        return cls(n_levels=n_levels, words=words, _index=index)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def index_of(self, word) -> int | None:
-        return self._index.get(tuple(int(x) for x in word))
+        mapped = words[:256]
+        byte_of = np.full(n_levels**N_CELLS, -1, dtype=np.int64)
+        byte_of[mapped @ n_levels ** np.arange(N_CELLS - 1, -1, -1)] = np.arange(len(mapped))
+        return cls(n_levels=n_levels, words=words, byte_of=byte_of)
 
     def byte_for_word(self, word) -> int | None:
         """Byte value of a codeword, or None for codewords beyond the 256
         byte-mapped ones (and for non-codewords)."""
-        i = self.index_of(word)
-        return i if i is not None and i < 256 else None
-
-    def word_for_byte(self, byte: int) -> tuple:
-        if not 0 <= byte <= 255:
-            raise ValueError(f"byte out of range: {byte}")
-        if len(self.words) < 256:
-            raise ValueError(
-                f"codebook has only {len(self.words)} words; cannot map all bytes"
-            )
-        return tuple(int(x) for x in self.words[byte])
+        if len(word) != N_CELLS:
+            return None
+        r = 0
+        for x in word:
+            if not 0 <= x < self.n_levels:
+                return None
+            r = r * self.n_levels + int(x)
+        byte = int(self.byte_of[r])
+        return byte if byte >= 0 else None
 
 
 def encode(byte: int, book: CodeBook) -> tuple:
     """Map a byte to its codeword (lexicographic rank = byte value)."""
-    return book.word_for_byte(byte)
+    if not 0 <= byte <= 255:
+        raise ValueError(f"byte out of range: {byte}")
+    if len(book.words) < 256:
+        raise ValueError(f"codebook has only {len(book.words)} words; cannot map all bytes")
+    return tuple(book.words[byte].tolist())
 
 
 def margin_sense(read, grid: LevelGrid):
@@ -217,20 +218,13 @@ def read_byte(read, grid: LevelGrid, book: CodeBook) -> DecodeOutcome:
     """Full read path: margin sense, parity check, soft correction."""
     v = _one_read(read)
     sensed, decoded, passed = decode(v[None], grid)
+    ok = bool(passed[0])
     sensed_word = tuple(sensed[0].tolist())
-    if passed[0]:
-        return DecodeOutcome(
-            sensed=sensed_word,
-            parity_passed=True,
-            corrected=None,
-            byte=book.byte_for_word(sensed_word),
-            decoder_distance=None,
-        )
-    word = tuple(decoded[0].tolist())
+    word = sensed_word if ok else tuple(decoded[0].tolist())
     return DecodeOutcome(
         sensed=sensed_word,
-        parity_passed=False,
-        corrected=word,
+        parity_passed=ok,
+        corrected=None if ok else word,
         byte=book.byte_for_word(word),
-        decoder_distance=float(_l1_distances(v, grid, decoded)[0]),
+        decoder_distance=None if ok else float(_l1_distances(v, grid, decoded)[0]),
     )

@@ -5,7 +5,7 @@ already describes the full spread of the read-back voltage), reads are
 sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
-Both estimators run one unit of work, ``_Engine.tally(rng, n, k)``:
+Both estimators run one unit of work, ``_tally(config, rng, n, k)``:
 it draws n words from one random stream in batches of 2^14 words and
 returns their class counts and payload bit flips.  Per batch the stream
 is consumed in a fixed order, which is the stream contract: the written
@@ -133,6 +133,8 @@ class SimConfig:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.subtrials_per_stratum is not None and self.subtrials_per_stratum < 1:
             raise ValueError("subtrials_per_stratum must be >= 1")
+        if self.stratified and self.tail == 0.0:
+            raise ValueError("tail must be > 0 in a stratified run, which simulates tail cells")
         self.noise()
         self.grid()
 
@@ -224,70 +226,63 @@ def _classify(written, decoded, parity_passed, protected: bool = True) -> np.nda
     return cls
 
 
-class _Engine:
-    """Vectorized write/read/decode/classify pipeline bound to one configuration."""
+def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None]:
+    """What a run writes, as ``(low, high, words)``: unprotected runs draw
+    each cell's symbol from low..high - 1, protected runs draw whole words
+    from ``words``.  Interior data keeps to the symbols 1..n-2; protected
+    uniform data is the 256 byte-mapped codewords."""
+    n = config.grid().n_levels
+    low, high = (1, n - 1) if config.data_mode == "interior" else (0, n)
+    if not config.protected:
+        return low, high, None
+    words = CodeBook.build(n).words
+    if config.data_mode == "interior":
+        return low, high, words[((words >= low) & (words < high)).all(axis=1)]
+    return low, high, words[:256]
 
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.noise = config.noise()
-        self.grid = config.grid()
-        n = self.grid.n_levels
-        # radix-n value of a word -> its byte, -1 for unmapped words; with 4
-        # levels a word's radix-4 value is its byte (2 payload bits per cell)
-        self.radix = n ** np.arange(N_CELLS - 1, -1, -1)
-        if config.protected:
-            words = CodeBook.build(n).words
-            self.byte_lut = np.full(n**N_CELLS, -1, dtype=np.int64)
-            self.byte_lut[words[:256] @ self.radix] = np.arange(256)
-            if config.data_mode == "interior":
-                inner = (words >= 1).all(axis=1) & (words <= n - 2).all(axis=1)
-                self.data_pool = words[inner]
-            else:
-                self.data_pool = words[:256]
+
+def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
+    """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
+    _CLASS_ORDER, then the total of payload bit flips.
+
+    k None samples every cell from the read law; otherwise exactly k
+    cells of each word, chosen uniformly, are forced into the tail law
+    and the rest into the interior law.
+    """
+    noise, grid = config.noise(), config.grid()
+    low, high, pool = _data_pool(config)
+    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
+    # with 4 levels a word's radix-4 value is its byte (2 payload bits per cell)
+    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
+    gen = rng.gen
+    counts = np.zeros(6, dtype=np.int64)
+    for lo in range(0, n, _BATCH):
+        m = min(_BATCH, n - lo)
+        if pool is None:
+            written = gen.integers(low, high, (m, N_CELLS))
         else:
-            self.byte_lut = np.arange(256)
-            self.data_pool = None
-            self.symbol_low, self.symbol_high = (
-                (1, n - 1) if config.data_mode == "interior" else (0, n)
-            )
-
-    def tally(self, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
-        """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
-        _CLASS_ORDER, then the total of payload bit flips.
-
-        k None samples every cell from the read law; otherwise exactly k
-        cells of each word, chosen uniformly, are forced into the tail law
-        and the rest into the interior law.
-        """
-        gen = rng.gen
-        counts = np.zeros(6, dtype=np.int64)
-        for lo in range(0, n, _BATCH):
-            m = min(_BATCH, n - lo)
-            if self.data_pool is None:
-                written = gen.integers(self.symbol_low, self.symbol_high, (m, N_CELLS))
-            else:
-                written = self.data_pool.take(gen.integers(0, len(self.data_pool), m), axis=0)
-            u = gen.random((m, N_CELLS))
-            tail_mask = u < self.noise.tail if k is None else u.argsort(axis=1) < k
-            v = _sample_conditioned(tail_mask, self.noise, gen)
-            v += self.grid.l0 + self.grid.pitch * written
-            if self.config.protected:
-                _, decoded, passed = decode(v, self.grid)
-            else:
-                decoded, passed = margin_sense(v, self.grid), None
-            # only the few wrong rows are classified and counted in bits; a
-            # row's 4 cell flags read as one uint32 are nonzero iff any is set
-            bad = np.flatnonzero((decoded != written).view(np.uint32))
-            written, decoded = written[bad], decoded[bad]
-            passed = None if passed is None else passed[bad]
-            cls = _classify(written, decoded, passed, self.config.protected)
-            counts[:5] += np.bincount(cls, minlength=5)
-            counts[0] += m - len(bad)
-            wb = self.byte_lut[written @ self.radix]
-            db = self.byte_lut[decoded @ self.radix]
-            # an unmapped decode counts as a full byte
-            counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
-        return counts
+            written = pool.take(gen.integers(0, len(pool), m), axis=0)
+        u = gen.random((m, N_CELLS))
+        tail_mask = u < noise.tail if k is None else u.argsort(axis=1) < k
+        v = _sample_conditioned(tail_mask, noise, gen)
+        v += grid.l0 + grid.pitch * written
+        if config.protected:
+            _, decoded, passed = decode(v, grid)
+        else:
+            decoded, passed = margin_sense(v, grid), None
+        # only the few wrong rows are classified and counted in bits; a
+        # row's 4 cell flags read as one uint32 are nonzero iff any is set
+        bad = np.flatnonzero((decoded != written).view(np.uint32))
+        written, decoded = written[bad], decoded[bad]
+        passed = None if passed is None else passed[bad]
+        cls = _classify(written, decoded, passed, config.protected)
+        counts[:5] += np.bincount(cls, minlength=5)
+        counts[0] += m - len(bad)
+        wb = byte_of[written @ radix]
+        db = byte_of[decoded @ radix]
+        # an unmapped decode counts as a full byte
+        counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+    return counts
 
 
 def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
@@ -314,13 +309,12 @@ def run_trials(config: SimConfig) -> BerEstimate:
     """Plain Monte Carlo: write random data, read, decode, classify."""
     if config.stratified:
         raise ValueError("config.stratified is set; use run_stratified")
-    engine = _Engine(config)
     # shard i holds trials i, i + shards, i + 2 * shards, ...; shards past
     # the last trial are empty and draw nothing
     n, shards = config.trials, config.shards
     counts = sum(
         _pool_map(
-            lambda i: engine.tally(RngStream(config.seed, i), len(range(i, n, shards))),
+            lambda i: _tally(config, RngStream(config.seed, i), len(range(i, n, shards))),
             range(min(shards, n)),
         )
     )
@@ -362,16 +356,15 @@ def run_stratified(config: SimConfig) -> BerEstimate:
         raise ValueError("config.stratified is not set; use run_trials")
     if not config.protected:
         raise ValueError("stratified runs support the protected mode only")
-    engine = _Engine(config)
     # interior deviations stay below width/2 < width/2 + margin/2, so the
     # all-interior stratum can never cross a decision boundary
-    assert engine.grid.margin > 0.0
+    assert config.grid().margin > 0.0
     weights = _stratum_weights(config.tail)
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
 
     simulated = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
     tallies = _pool_map(
-        lambda k: engine.tally(RngStream(config.seed, 10_000 + k), n_per, k), simulated
+        lambda k: _tally(config, RngStream(config.seed, 10_000 + k), n_per, k), simulated
     )
     counts_of = dict(zip(simulated, tallies))
     p_hat = 0.0

@@ -6,6 +6,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from norsim.cli import build_parser, format_sig1, main
@@ -96,6 +97,9 @@ class TestTable1Command:
         doc = json.loads(path.read_text())
         m = doc["manifest"]
         assert m["command"] == "table1" and m["version"] and m["created_utc"]
+        assert m["numpy"] == np.__version__
+        _, out, _ = run_cli(capsys, "table1")
+        assert f" numpy={np.__version__} " in out.splitlines()[0]
 
 
 class TestAnalyticCommand:
@@ -161,11 +165,11 @@ class TestSimulateCommand:
         assert "type_ii" in doc["results"]["empirical_over_analytic"]
 
     def test_repeat_run_identical_results(self, capsys):
-        a = run_json(capsys, *self.ARGS)
-        b = run_json(capsys, *self.ARGS)
-        assert json.dumps(a["results"], sort_keys=True) == json.dumps(
-            b["results"], sort_keys=True
-        )
+        # two runs differ only in when they were made
+        a, b = (run_json(capsys, *self.ARGS) for _ in range(2))
+        for doc in (a, b):
+            del doc["manifest"]["created_utc"]
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_unprotected_mode(self, capsys):
         doc = run_json(capsys, *self.ARGS, "--no-protected")
@@ -193,6 +197,7 @@ class TestSimulateCommand:
         ("--trials", "0"),
         ("--trials", "2.5"),
         ("--trials", "nan"),
+        ("--shards", "0"),
     ])
     def test_count_flags_take_whole_numbers(self, capsys, flags):
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", *flags)
@@ -215,6 +220,17 @@ class TestSimulateCommand:
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
                               "--stratified", *flags)
         assert code == 2 and named in err
+
+    def test_shards_take_count_notation(self, capsys):
+        doc = run_json(capsys, "simulate", "--a-delta0", "3", "--trials", "1000",
+                       "--shards", "2e0")
+        assert doc["manifest"]["params"]["shards"] == 2
+        assert doc["results"]["config"]["shards"] == 2
+
+    def test_stratified_zero_tail_is_param_error(self, capsys):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--tail", "0",
+                              "--stratified", "--subtrials", "100")
+        assert code == 2 and "tail" in err and "Traceback" not in err
 
     def test_stratified_config_rejects_shards(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -349,6 +365,11 @@ class TestSweepCommand:
                        "--subtrials", "2e3", "--seed", "3")
         rows = doc["results"]["rows"]
         assert all(r["e2_simulated"] > 0 and r["ci95_lo"] <= r["ci95_hi"] for r in rows)
+
+    def test_stratified_zero_tail_is_param_error(self, capsys):
+        code, err = exit_code(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",
+                              "--stratified", "--tail", "0")
+        assert code == 2 and "tail" in err
 
     def test_empty_grid_is_error(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")

@@ -16,8 +16,9 @@ from norsim.montecarlo import (
     ErrorClass,
     SimConfig,
     _CLASS_ORDER,
-    _Engine,
+    _data_pool,
     _stratum_weights,
+    _tally,
     classify_error,
     confidence_interval,
     estimate_to_dict,
@@ -144,7 +145,7 @@ class TestRunTrials:
             flips = 8 if out.byte is None else bin(written_bytes[i] ^ out.byte).count("1")
             want[5] += flips
         assert want[1:5].sum() > 0
-        got = _Engine(cfg).tally(RngStream(99), 400)
+        got = _tally(cfg, RngStream(99), 400)
         assert got.tolist() == want.tolist()
 
     def test_engine_matches_margin_sensing_unprotected(self):
@@ -162,7 +163,7 @@ class TestRunTrials:
             wb, sb = (int("".join(map(str, w)), 4) for w in (written[i], sensed))
             want[5] += bin(wb ^ sb).count("1")
         assert want[4] > 0
-        got = _Engine(cfg).tally(RngStream(98), 400)
+        got = _tally(cfg, RngStream(98), 400)
         assert got.tolist() == want.tolist()
 
     def test_events_bounded_by_hamming_bits(self):
@@ -197,14 +198,16 @@ class TestRunTrials:
         assert 0.70 <= est.event_rate_per_bit / e0 <= 0.82
 
     def test_interior_pool_sizes(self):
-        uniform = _Engine(SimConfig(a=1.0, tail=0.1, width=0.5, delta0=3.0,
-                                    trials=1, data_mode="uniform"))
-        interior = _Engine(SimConfig(a=1.0, tail=0.1, width=0.5, delta0=3.0,
-                                     trials=1, data_mode="interior"))
-        assert len(uniform.data_pool) == 256
+        base = dict(a=1.0, tail=0.1, width=0.5, delta0=3.0, trials=1)
+        *_, uniform = _data_pool(SimConfig(data_mode="uniform", **base))
+        *_, interior = _data_pool(SimConfig(data_mode="interior", **base))
+        assert len(uniform) == 256
         # even-parity words over the three inner levels: (3**4 + 1) / 2
-        assert len(interior.data_pool) == 41
-        assert interior.data_pool.min() >= 1 and interior.data_pool.max() <= 3
+        assert len(interior) == 41
+        assert interior.min() >= 1 and interior.max() <= 3
+        # unprotected runs draw symbols 0..3, or 1..2 on interior data
+        assert _data_pool(SimConfig(data_mode="uniform", protected=False, **base)) == (0, 4, None)
+        assert _data_pool(SimConfig(data_mode="interior", protected=False, **base)) == (1, 3, None)
 
     def test_stratified_flag_routes_away(self):
         cfg = SimConfig(a=1.0, tail=0.1, width=0.5, delta0=3.0, trials=100,
@@ -222,6 +225,8 @@ class TestRunTrials:
                       data_mode="weird")
         with pytest.raises(ValueError):
             SimConfig(a=-1.0, tail=0.1, width=0.5, delta0=3.0, trials=10)
+        with pytest.raises(ValueError, match="tail"):
+            SimConfig(a=1.0, tail=0.0, width=0.5, delta0=3.0, stratified=True)
 
 
 class TestStratified:
@@ -337,13 +342,12 @@ class TestThreadPool:
         plain = SimConfig(trials=40_003, seed=23, shards=5, **self.BASE)
         strat = SimConfig(trials=1, seed=23, stratified=True,
                           subtrials_per_stratum=5_000, **self.BASE)
-        engine = _Engine(plain)
         serial = sum(
-            engine.tally(RngStream(23, i), len(range(i, plain.trials, 5)))
+            _tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)))
             for i in range(5)
         )
         serial_strata = [
-            int(engine.tally(RngStream(23, 10_000 + k), 5_000, k)[1:5].sum())
+            int(_tally(strat, RngStream(23, 10_000 + k), 5_000, k)[1:5].sum())
             for k in range(1, 5)
         ]
         monkeypatch.setattr(os, "cpu_count", lambda: 5)  # more workers than cores
