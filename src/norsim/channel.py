@@ -175,9 +175,9 @@ def read_density(v, level_index, grid: LevelGrid, noise: NoiseModel):
     return float(out) if np.ndim(v) == 0 and np.ndim(level_index) == 0 else out
 
 
-def _sample_conditioned(tail_mask, noise: NoiseModel, gen: np.random.Generator):
+def _read_offsets(tail_mask, u, noise: NoiseModel):
     """Read voltages minus level voltages, with the tail/interior split
-    forced by ``tail_mask``; draws one uniform u per cell.
+    forced by ``tail_mask`` and one uniform ``u`` per cell.
 
     A tail cell reads below its window for u < 1/2 and above it
     otherwise, at the excess -log1p(-r) / (2a) past the window edge,
@@ -187,7 +187,6 @@ def _sample_conditioned(tail_mask, noise: NoiseModel, gen: np.random.Generator):
     width * (u - 1/2) from its level, the level itself at width 0.  The
     sign bit of a tail cell's offset is its side, also at offset zero.
     """
-    u = gen.random(np.shape(tail_mask))
     two_u = 2.0 * u
     minus_r = np.floor(two_u) - two_u
     edge_offset = noise.width / 2.0 - np.log1p(minus_r) / (2.0 * noise.a)
@@ -195,26 +194,37 @@ def _sample_conditioned(tail_mask, noise: NoiseModel, gen: np.random.Generator):
     return np.where(tail_mask, np.copysign(edge_offset, half), noise.width * half)
 
 
+# Reads per chunk of a sampling call: 2^14 four-cell words, cache-sized
+# like the engine's batches.
+_CHUNK = 1 << 16
+
+
 def _sample(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, size, force_tail):
-    """(voltage, side) draws shared by the two samplers; force_tail None
-    draws one uniform per read that picks tail or interior."""
+    """(voltage, side) draws shared by the two samplers, in chunks of
+    ``_CHUNK`` reads in C order.  Each chunk draws its uniforms that pick
+    tail or interior (one per read, only when force_tail is None), then
+    its uniforms for the conditioned read.  side is None when force_tail
+    is None."""
     _check_pair(grid, noise)
     centers = grid.level_voltage(level_index)
     if size is not None:
         if np.ndim(level_index) != 0:
             raise ValueError("size is only valid with a scalar level_index")
         centers = np.full(size, centers)
+    flat = np.ravel(centers)
+    v = np.empty(flat.shape)
+    side = None if force_tail is None else np.zeros(flat.shape, dtype=np.int64)
+    for lo in range(0, len(flat), _CHUNK):
+        hi = min(lo + _CHUNK, len(flat))
+        mask = rng.gen.random(hi - lo) < noise.tail if force_tail is None else bool(force_tail)
+        offset = _read_offsets(mask, rng.gen.random(hi - lo), noise)
+        v[lo:hi] = flat[lo:hi] + offset
+        if force_tail:
+            side[lo:hi] = np.where(np.signbit(offset), -1, 1)
+    if np.ndim(centers) == 0:
+        return float(v[0]), None if side is None else int(side[0])
     shape = np.shape(centers)
-    if force_tail is None:
-        mask = rng.gen.random(shape) < noise.tail
-    else:
-        mask = np.full(shape, bool(force_tail))
-    offset = _sample_conditioned(mask, noise, rng.gen)
-    v = centers + offset
-    side = np.where(mask, np.where(np.signbit(offset), -1, 1), 0)
-    if np.ndim(v) == 0:
-        return float(v), int(side)
-    return v, side
+    return v.reshape(shape), None if side is None else side.reshape(shape)
 
 
 def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream, size=None):
@@ -223,10 +233,11 @@ def sample_read(level_index, grid: LevelGrid, noise: NoiseModel, rng: RngStream,
     With probability 1-tail the read is uniform on the program window; with
     probability tail/2 per side it is the window edge plus an exponential
     excess of rate 2*a.  ``level_index`` may be a scalar or an array;
-    ``size`` draws that many reads of a single scalar level.  One uniform
-    per read picks tail or interior before the conditioned draw, so the
-    number of variates consumed does not depend on the sampled values:
-    two uniforms per read.
+    ``size`` draws that many reads of a single scalar level.  Reads are
+    drawn in chunks of 2^16 in C order; per chunk one uniform per read
+    picks tail or interior, then one more per read gives the conditioned
+    read, so the number of variates consumed does not depend on the
+    sampled values: two uniforms per read.
     """
     return _sample(level_index, grid, noise, rng, size, None)[0]
 

@@ -12,10 +12,27 @@ is consumed in a fixed order, which is the stream contract: the written
 words (one pool index per word, or one symbol per cell when
 unprotected), then one mask uniform per cell that picks the tail cells,
 then one value uniform per cell for the conditioned read sampler
-(``channel._sample_conditioned``).  A plain run marks a cell as tail when
+(``channel._read_offsets``).  A plain run marks a cell as tail when
 its mask uniform is below the tail fraction; stratum k of a stratified
 run marks cell j when entry j of the argsort of the word's mask uniforms
 is below k, a uniformly random k-subset.
+
+Every variate is drawn, but only the rows that can be wrong are sampled,
+decoded and classified.  A tail cell reads at the excess -log1p(-r)/(2a)
+past its window edge, r = 2u - floor(2u) from its value uniform u, and
+an interior cell stays inside its window.  A row is sampled when one of
+its tail cells has r above -expm1(-2a (margin/2 - slack)), that is, when
+its read could come within ``slack`` of a decision boundary.  Every
+other row counts as NONE with no bit flips, which is exact: each of its
+cells senses its written level, and a written codeword passes parity.
+``slack`` bounds the rounding of a read voltage and of its sensed level,
+2^-49 (|l0| + n_levels * pitch), and the threshold is rounded down onto
+r's grid of multiples of 2^-52, so the test is conservative.  Every row
+is sampled in three cases: margin/2 <= slack; a threshold within 8 * 2^-52
+of r's largest value 1 - 2^-52; and a run whose expected share of
+sampled words, 1 - (1 - p exp(-a (margin - 2 slack)))^4, is above 1/2,
+p being the tail fraction of a plain run and k/4 in stratum k, where
+picking the rows would cost more than it saves.
 
 Plain trials are sharded deterministically: trial t belongs to shard
 t mod shards, and shard i consumes the random stream (seed, i).  Shards,
@@ -31,6 +48,7 @@ accounted analytically as error-free.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +62,7 @@ from .channel import (
     LevelGrid,
     NoiseModel,
     RngStream,
-    _sample_conditioned,
+    _read_offsets,
     five_level_grid,
     four_level_grid,
 )
@@ -241,38 +259,98 @@ def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None]:
     return low, high, words[:256]
 
 
+# Stratum k marks cell j when entry j of the word's stable argsort is below
+# k.  The 6 comparisons u_i <= u_j, i < j, fix a row's stable order, ties
+# included, so the mask is a lookup at the 6-bit code of those comparisons
+# in a table built from the argsort of the 24 orderings; the other 40
+# codes cannot occur.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _pair_code(u: np.ndarray) -> np.ndarray:
+    """Bit b of row i is ``u[i, p] <= u[i, q]`` for (p, q) = _PAIRS[b]."""
+    cols = u.T.copy()  # contiguous columns compare faster than strided ones
+    code = np.zeros(len(u), dtype=np.uint8)
+    for bit, (p, q) in enumerate(_PAIRS):
+        code |= (cols[p] <= cols[q]).view(np.uint8) << bit
+    return code
+
+
+_ORDERINGS = np.array(list(itertools.permutations(range(N_CELLS))), dtype=float)
+_SUBSET_MASK = np.zeros((N_CELLS + 1, 64, N_CELLS), dtype=bool)
+_SUBSET_MASK[:, _pair_code(_ORDERINGS)] = (
+    _ORDERINGS.argsort(axis=1, kind="stable") < np.arange(N_CELLS + 1)[:, None, None]
+)
+
+
+def _reach_threshold(config: SimConfig, k: int | None) -> float | None:
+    """The largest r of a tail cell whose read cannot come within slack of
+    a decision boundary, as in the module docstring, or None when every
+    row is to be sampled."""
+    noise, grid = config.noise(), config.grid()
+    slack = 2.0**-49 * (abs(grid.l0) + grid.n_levels * grid.pitch)
+    if grid.margin / 2.0 <= slack:
+        return None
+    x = 2.0 * noise.a * (grid.margin / 2.0 - slack)
+    # two steps of 2^-52 below expm1's rounding, which is within one ulp
+    thr = (math.floor(-math.expm1(-x) * 2.0**52) - 2) * 2.0**-52
+    p = noise.tail if k is None else k / N_CELLS
+    if thr >= 1.0 - 2.0**-49 or 1.0 - (1.0 - p * math.exp(-x)) ** N_CELLS > 0.5:
+        return None
+    return thr
+
+
+def _any_rows(mask: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (m, 4) boolean array with a cell set; a
+    row's 4 flags read as one uint32 are nonzero iff any is set."""
+    return np.flatnonzero(mask.view(np.uint32).ravel() != 0)
+
+
 def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
     """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
     _CLASS_ORDER, then the total of payload bit flips.
 
     k None samples every cell from the read law; otherwise exactly k
     cells of each word, chosen uniformly, are forced into the tail law
-    and the rest into the interior law.
+    and the rest into the interior law.  Rows that cannot be wrong count
+    as NONE unsampled (see the module docstring).
     """
     noise, grid = config.noise(), config.grid()
     low, high, pool = _data_pool(config)
     radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
     # with 4 levels a word's radix-4 value is its byte (2 payload bits per cell)
     byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
+    thr = _reach_threshold(config, k)
     gen = rng.gen
     counts = np.zeros(6, dtype=np.int64)
     for lo in range(0, n, _BATCH):
         m = min(_BATCH, n - lo)
         if pool is None:
-            written = gen.integers(low, high, (m, N_CELLS))
+            symbols = gen.integers(low, high, (m, N_CELLS))
         else:
-            written = pool.take(gen.integers(0, len(pool), m), axis=0)
+            picks = gen.integers(0, len(pool), m)
         u = gen.random((m, N_CELLS))
-        tail_mask = u < noise.tail if k is None else u.argsort(axis=1) < k
-        v = _sample_conditioned(tail_mask, noise, gen)
+        value_u = gen.random((m, N_CELLS))
+        rows = slice(None)
+        if thr is not None:
+            # r > thr, thr a multiple of 2^-52, holds exactly when u lies in
+            # (thr/2, 1/2) or ((1 + thr)/2, 1); both bounds are exact
+            reach = (value_u > thr / 2.0) & ((value_u < 0.5) | (value_u > (1.0 + thr) / 2.0))
+            rows = _any_rows(reach)
+            u, value_u, reach = u[rows], value_u[rows], reach[rows]
+        tail_mask = u < noise.tail if k is None else _SUBSET_MASK[k].take(_pair_code(u), axis=0)
+        if thr is not None:
+            keep = _any_rows(tail_mask & reach)
+            rows, tail_mask, value_u = rows[keep], tail_mask[keep], value_u[keep]
+        written = symbols[rows] if pool is None else pool.take(picks[rows], axis=0)
+        v = _read_offsets(tail_mask, value_u, noise)
         v += grid.l0 + grid.pitch * written
         if config.protected:
             _, decoded, passed = decode(v, grid)
         else:
             decoded, passed = margin_sense(v, grid), None
-        # only the few wrong rows are classified and counted in bits; a
-        # row's 4 cell flags read as one uint32 are nonzero iff any is set
-        bad = np.flatnonzero((decoded != written).view(np.uint32))
+        # only the few wrong rows are classified and counted in bits
+        bad = _any_rows(decoded != written)
         written, decoded = written[bad], decoded[bad]
         passed = None if passed is None else passed[bad]
         cls = _classify(written, decoded, passed, config.protected)

@@ -15,7 +15,7 @@ from norsim.channel import (
     five_level_grid,
     four_level_grid,
     read_density,
-    _sample_conditioned,
+    _read_offsets,
     sample_read,
     sample_read_conditioned,
 )
@@ -285,16 +285,6 @@ class TestRngStream:
         assert not np.array_equal(a, c)
 
 
-class _FixedUniforms:
-    """Stands in for a Generator that hands out the given uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, shape):
-        return self.u.reshape(shape)
-
-
 class TestConditionedSamplerLaw:
     """Fixed-seed draws of sample_read_conditioned against the read law.
 
@@ -334,7 +324,7 @@ class TestConditionedSamplerLaw:
         a = 2.0
         noise = NoiseModel(a=a, tail=1.0, width=0.0)
         u = [0.0, 0.5, 0.5 - 2**-53, 1 - 2**-53]
-        off = _sample_conditioned(np.ones(4, bool), noise, _FixedUniforms(u))
+        off = _read_offsets(np.ones(4, bool), np.array(u), noise)
         assert off[0] == 0.0 and np.signbit(off[0])
         assert off[1] == 0.0 and not np.signbit(off[1])
         bound = 52 * math.log(2) / (2 * a)

@@ -4,19 +4,28 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norsim.analytic import ChannelPoint, baseline_rates
-from norsim.channel import RngStream, sample_read
-from norsim.codec import CodeBook, DecodeOutcome, margin_sense, read_byte
+from norsim.channel import RngStream, _read_offsets, sample_read
+from norsim.codec import N_CELLS, CodeBook, DecodeOutcome, decode, margin_sense, read_byte
 from norsim.montecarlo import (
     BerEstimate,
     ErrorClass,
     SimConfig,
+    _BATCH,
     _CLASS_ORDER,
+    _POPCOUNT8,
+    _SUBSET_MASK,
+    _classify,
     _data_pool,
+    _pair_code,
     _stratum_weights,
     _tally,
     classify_error,
@@ -438,3 +447,135 @@ class TestSerialization:
             assert json.dumps(estimate_to_dict(est, cfg), indent=2) == json.dumps(
                 self.hand_built(est, cfg), indent=2
             )
+
+
+def reference_tally(config, rng, n, k=None):
+    """The engine's counts with every row sampled and decoded, and stratum
+    masks from argsort: the reference the row-skipping ``_tally`` must equal."""
+    noise, grid = config.noise(), config.grid()
+    low, high, pool = _data_pool(config)
+    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
+    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
+    gen = rng.gen
+    counts = np.zeros(6, dtype=np.int64)
+    for lo in range(0, n, _BATCH):
+        m = min(_BATCH, n - lo)
+        if pool is None:
+            written = gen.integers(low, high, (m, N_CELLS))
+        else:
+            written = pool[gen.integers(0, len(pool), m)]
+        u = gen.random((m, N_CELLS))
+        tail_mask = u < noise.tail if k is None else u.argsort(axis=1) < k
+        v = _read_offsets(tail_mask, gen.random((m, N_CELLS)), noise)
+        v += grid.l0 + grid.pitch * written
+        if config.protected:
+            _, decoded, passed = decode(v, grid)
+        else:
+            decoded, passed = margin_sense(v, grid), None
+        cls = _classify(written, decoded, passed, config.protected)
+        counts[:5] += np.bincount(cls, minlength=5)
+        wb = byte_of[written @ radix]
+        db = byte_of[decoded @ radix]
+        counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+    return counts
+
+
+def far_from_zero(config, pitches=1e12):
+    """``config`` with its levels moved ``pitches`` pitches from 0 V."""
+    return replace(config, l0=pitches * config.grid().pitch)
+
+
+class TestSampledRows:
+    """``_tally`` samples and decodes only the rows that can be wrong; its
+    counts must equal those of the reference that decodes every row."""
+
+    CASES = {
+        "tail_0": (dict(a=1.0, tail=0.0, width=0.5, delta0=2.0), None),
+        "tail_1_width_0": (dict(a=1.0, tail=1.0, width=0.0, delta0=6.0), None),
+        "most_rows_sampled": (dict(a=1.0, tail=1.0, width=0.0, delta0=1.0), None),
+        # 3 * delta0 just above w: margin/2 is below the slack
+        "tiny_margin": (dict(a=1.0, tail=0.5, width=3.0, delta0=1.0 + 1e-14), None),
+        # a * margin >= 36: the threshold meets r's largest value
+        "a_margin_37": (dict(a=1.0, tail=1.0, width=0.0, delta0=50.0), None),
+        "a_margin_33": (dict(a=1.0, tail=1.0, width=0.0, delta0=44.0), None),
+        "unprotected_uniform": (
+            dict(a=1.0, tail=0.3, width=0.5, delta0=4.0, protected=False), None),
+        "unprotected_interior": (
+            dict(a=2.0, tail=0.3, width=0.2, delta0=2.0, protected=False,
+                 data_mode="interior"), None),
+        **{
+            f"stratum_{k}": (
+                dict(a=1.0, tail=1e-3, width=6.9, delta0=6.9, data_mode="interior"), k)
+            for k in range(1, N_CELLS + 1)
+        },
+    }
+
+    @pytest.mark.parametrize("far", [False, True], ids=["l0_0", "l0_1e12_pitch"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_reference(self, name, far):
+        kwargs, k = self.CASES[name]
+        config = SimConfig(**kwargs)
+        if far:
+            config = far_from_zero(config)
+        n = 3 * _BATCH + 1234  # not a multiple of the batch
+        got = _tally(config, RngStream(3, 1), n, k)
+        assert got.tolist() == reference_tally(config, RngStream(3, 1), n, k).tolist()
+        assert got[:5].sum() == n
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # reads 1e12 pitches from 0 V round to 1.2e-4 pitch: some reads
+            # just inside a boundary are sensed past it
+            dict(a=1.0, tail=0.1, width=0.0, delta0=1.5, protected=False),
+            # with a margin below that rounding, reads inside the window too
+            dict(a=1.0, tail=0.05, width=1.0, delta0=1e-5, protected=False),
+        ],
+        ids=["tail_reads", "window_reads"],
+    )
+    def test_rounding_far_from_zero(self, kwargs):
+        config = far_from_zero(SimConfig(**kwargs))
+        n = 1 << 17
+        got = _tally(config, RngStream(4), n)
+        assert got.tolist() == reference_tally(config, RngStream(4), n).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a_delta0=st.floats(0.5, 40.0),
+        aw_share=st.floats(0.0, 0.99),
+        tail=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 1.0)),
+        protected=st.booleans(),
+        interior=st.booleans(),
+        far=st.booleans(),
+        k=st.one_of(st.none(), st.integers(1, N_CELLS)),
+        n=st.integers(1, _BATCH + 4000),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_reference_anywhere(
+        self, a_delta0, aw_share, tail, protected, interior, far, k, n, seed
+    ):
+        config = SimConfig(
+            a=1.0, tail=tail, width=3.0 * a_delta0 * aw_share, delta0=a_delta0,
+            protected=protected, data_mode="interior" if interior else "uniform",
+        )
+        if far:
+            config = far_from_zero(config)
+        got = _tally(config, RngStream(seed, 2), n, k)
+        assert got.tolist() == reference_tally(config, RngStream(seed, 2), n, k).tolist()
+
+
+class TestSubsetTable:
+    """Stratum k's table lookup equals the stable argsort's k-subset."""
+
+    @staticmethod
+    def check(u):
+        for k in range(N_CELLS + 1):
+            want = np.argsort(u, axis=1, kind="stable") < k
+            assert np.array_equal(_SUBSET_MASK[k].take(_pair_code(u), axis=0), want)
+
+    def test_random_rows(self):
+        self.check(RngStream(8).gen.random((50_000, N_CELLS)))
+
+    def test_every_tie_pattern(self):
+        # values 0..3 in 4 cells give every weak ordering of 4 cells
+        self.check(np.array(list(product(range(N_CELLS), repeat=N_CELLS)), dtype=float))
