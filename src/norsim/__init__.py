@@ -53,4 +53,4 @@ from .montecarlo import (
     run_trials,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

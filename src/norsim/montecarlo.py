@@ -6,33 +6,48 @@ sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
 Both estimators run one unit of work, ``_tally(config, rng, n, k)``:
-it draws n words from one random stream in batches of 2^14 words and
-returns their class counts and payload bit flips.  Per batch the stream
-is consumed in a fixed order, which is the stream contract: the written
-words (one pool index per word, or one symbol per cell when
-unprotected), then one mask uniform per cell that picks the tail cells,
-then one value uniform per cell for the conditioned read sampler
-(``channel._read_offsets``).  A plain run marks a cell as tail when
-its mask uniform is below the tail fraction; stratum k of a stratified
-run marks cell j when entry j of the argsort of the word's mask uniforms
-is below k, a uniformly random k-subset.
+it draws n words from one random stream and returns their class counts
+and payload bit flips.  A plain run makes each cell a tail cell with
+chance p, the tail fraction; stratum k of a stratified run makes a
+uniformly random k-subset of the cells tail cells.  A cell reads from its
+value uniform u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail
+cell reads above its window when K >= 2^52, below it otherwise, at the
+excess -log1p(-r)/(2a) past the window edge, r = i 2^-52 with lattice
+index i = K mod 2^52; an interior cell stays inside its window.
 
-Every variate is drawn, but only the rows that can be wrong are sampled,
-decoded and classified.  A tail cell reads at the excess -log1p(-r)/(2a)
-past its window edge, r = 2u - floor(2u) from its value uniform u, and
-an interior cell stays inside its window.  A row is sampled when one of
-its tail cells has r above -expm1(-2a (margin/2 - slack)), that is, when
-its read could come within ``slack`` of a decision boundary.  Every
-other row counts as NONE with no bit flips, which is exact: each of its
-cells senses its written level, and a written codeword passes parity.
-``slack`` bounds the rounding of a read voltage and of its sensed level,
-2^-49 (|l0| + n_levels * pitch), and the threshold is rounded down onto
-r's grid of multiples of 2^-52, so the test is conservative.  Every row
-is sampled in three cases: margin/2 <= slack; a threshold within 8 * 2^-52
-of r's largest value 1 - 2^-52; and a run whose expected share of
-sampled words, 1 - (1 - p exp(-a (margin - 2 slack)))^4, is above 1/2,
-p being the tail fraction of a plain run and k/4 in stratum k, where
-picking the rows would cost more than it saves.
+A tail cell *reaches* when i > T, the index ``_reach_threshold`` gives
+for -expm1(-2a (margin/2 - slack)) rounded down with two steps to spare.
+A cell that does not reach reads at least ``slack`` = 2^-49 (|l0| +
+n_levels * pitch) inside its decision boundary, which bounds the rounding
+of a read voltage and of its sensed level.  So a word with no reaching
+cell reads back exactly: each cell senses its written level, and a
+written codeword passes parity.  A tail cell reaches with chance c =
+(2^52 - 1 - T) 2^-52, and a word has a reaching cell with chance pi =
+1 - (1 - p c)^4 in a plain run and 1 - (1 - c)^k in stratum k.
+
+The stream contract has two forms.  When pi > 1/2, or when margin/2 <=
+slack and even interior reads can be sensed wrong, every word is drawn
+and decoded, in batches of 2^14 words.  Each batch draws the written
+words (one pool index per word, or one symbol per cell when
+unprotected), then one mask uniform per cell, then one value uniform per
+cell.  A plain run marks a cell as tail when its mask uniform is below
+p; stratum k marks cell j when entry j of the argsort of the word's mask
+uniforms is below k.
+
+Otherwise one draw from Binomial(n, pi) gives the number of words with a
+reaching cell, every other word counts as NONE, and only those words are
+drawn, in chunks of 2^11.  Each chunk draws one uniform per word, which
+picks its row of cell states (interior, quiet tail, reaching tail) from
+``_row_law``, the 81-row law given a reaching cell; then the written
+words; then one value uniform per interior cell; then one integer per
+quiet tail cell and one per reaching tail cell, which picks its K
+uniformly among its state's lattice points on either side
+(``_lattice_u``).  That is the dense form's law of the words with a
+reaching cell: their cells are independent given the tail mask, a tail
+cell's K is uniform on the lattice, and the written word is independent
+of both.  So the two forms give the same counts in law, up to the float
+rounding of the row probabilities, and the sparse form's work scales
+with n pi.
 
 Plain trials are sharded deterministically: trial t belongs to shard
 t mod shards, and shard i consumes the random stream (seed, i).  Shards,
@@ -84,6 +99,10 @@ __all__ = [
 BITS_PER_WORD = 8  # N_CELLS cells * 2 payload bits per cell
 
 _BATCH = 1 << 14
+# Words per chunk when only the words with a reaching cell are drawn.  A
+# chunk's decode temporaries take ~500 B per word; 2^12 or more raise the
+# process's peak memory above that of the 2^14-word dense batches.
+_CHUNK = 1 << 11
 
 _Z95 = 1.959963984540054
 
@@ -283,21 +302,67 @@ _SUBSET_MASK[:, _pair_code(_ORDERINGS)] = (
 )
 
 
-def _reach_threshold(config: SimConfig, k: int | None) -> float | None:
-    """The largest r of a tail cell whose read cannot come within slack of
-    a decision boundary, as in the module docstring, or None when every
-    row is to be sampled."""
+# A value uniform is u = K 2^-53, K < 2^53; a tail cell reads on side
+# K >= 2^52 at lattice index i = K mod 2^52, its r = i 2^-52.
+_LATTICE = 1 << 52
+
+
+def _reach_threshold(config: SimConfig) -> int | None:
+    """T: a tail cell at lattice index i <= T reads at least ``slack``
+    inside its decision boundary, as in the module docstring; None when
+    margin/2 <= slack, where interior reads too can be sensed wrong."""
     noise, grid = config.noise(), config.grid()
     slack = 2.0**-49 * (abs(grid.l0) + grid.n_levels * grid.pitch)
     if grid.margin / 2.0 <= slack:
         return None
     x = 2.0 * noise.a * (grid.margin / 2.0 - slack)
+    if x > -math.log1p(2.0**-52 - 1.0):  # 2a times the excess at i = 2^52 - 1
+        return _LATTICE - 1
     # two steps of 2^-52 below expm1's rounding, which is within one ulp
-    thr = (math.floor(-math.expm1(-x) * 2.0**52) - 2) * 2.0**-52
-    p = noise.tail if k is None else k / N_CELLS
-    if thr >= 1.0 - 2.0**-49 or 1.0 - (1.0 - p * math.exp(-x)) ** N_CELLS > 0.5:
-        return None
-    return thr
+    return max(math.floor(-math.expm1(-x) * 2.0**52) - 2, -1)
+
+
+# The 3^4 cell-state patterns of a word: 0 interior, 1 quiet tail cell
+# (i <= T), 2 reaching tail cell (i > T).
+_STATES = np.array(list(itertools.product(range(3), repeat=N_CELLS)), dtype=np.int8)
+
+
+def _row_law(p: float, c: float, k: int | None) -> tuple[float, np.ndarray]:
+    """(pi, probs): the chance pi that a word has a reaching cell, and the
+    law of its _STATES row given that it has one.  A tail cell reaches
+    with chance c; a plain run makes each cell a tail cell with chance p,
+    stratum k a uniform k-subset of the cells.  pi is computed without
+    cancellation, since c can be as small as 2^-52."""
+    n_tail = (_STATES > 0).sum(axis=1)
+    n_reach = (_STATES == 2).sum(axis=1)
+    if k is None:
+        q, cells = p * c, N_CELLS
+        n_quiet = n_tail - n_reach
+        probs = (1.0 - p) ** (N_CELLS - n_tail) * (p * (1.0 - c)) ** n_quiet * q**n_reach
+    else:
+        q, cells = c, k
+        probs = np.zeros(len(_STATES))
+        rows = n_tail == k
+        probs[rows] = (1.0 - c) ** (k - n_reach[rows]) * c ** n_reach[rows] / math.comb(N_CELLS, k)
+    pi = -math.expm1(cells * math.log1p(-q)) if q < 1.0 else 1.0
+    probs[n_reach == 0] = 0.0
+    return pi, probs / pi if pi > 0.0 else probs
+
+
+def _lattice_u(gen, n: int, t: int, reaching: bool) -> np.ndarray:
+    """n value uniforms of tail cells, each a uniform pick among the
+    lattice points with index i > t (reaching) or i <= t (quiet) on
+    either side: one integer j per cell, mapped in increasing order."""
+    start, size = (t + 1, _LATTICE - 1 - t) if reaching else (0, t + 1)
+    j = gen.integers(0, 2 * size, n)
+    return (start + j + (j >= size) * (_LATTICE - size)) * 2.0**-53
+
+
+def _reads(written, tail_mask, u, noise: NoiseModel, grid: LevelGrid) -> np.ndarray:
+    """Read voltages of the cells of ``written`` (see ``_read_offsets``)."""
+    v = _read_offsets(tail_mask, u, noise)
+    v += grid.l0 + grid.pitch * written
+    return v
 
 
 def _any_rows(mask: np.ndarray) -> np.ndarray:
@@ -306,60 +371,91 @@ def _any_rows(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask.view(np.uint32).ravel() != 0)
 
 
+def _count(written, reads, grid: LevelGrid, byte_of: np.ndarray | None) -> np.ndarray:
+    """The 5 class counts in _CLASS_ORDER, then the payload bit flips, of
+    the words ``written`` read back as ``reads``.  ``byte_of`` is the
+    codebook's byte table of a protected run, which decodes by parity;
+    None marks an unprotected run, which margin-senses, and whose words
+    are their bytes in radix 4."""
+    if byte_of is None:
+        decoded, passed = margin_sense(reads, grid), None
+        byte_of = np.arange(256)
+    else:
+        _, decoded, passed = decode(reads, grid)
+    # only the few wrong rows are classified and counted in bits
+    bad = _any_rows(decoded != written)
+    written, decoded = written[bad], decoded[bad]
+    passed = None if passed is None else passed[bad]
+    counts = np.zeros(6, dtype=np.int64)
+    counts[:5] = np.bincount(_classify(written, decoded, passed, passed is not None), minlength=5)
+    counts[0] += len(reads) - len(bad)
+    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
+    wb = byte_of[written @ radix]
+    db = byte_of[decoded @ radix]
+    # an unmapped decode counts as a full byte
+    counts[5] = np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+    return counts
+
+
 def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
     """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
     _CLASS_ORDER, then the total of payload bit flips.
 
     k None samples every cell from the read law; otherwise exactly k
     cells of each word, chosen uniformly, are forced into the tail law
-    and the rest into the interior law.  Rows that cannot be wrong count
-    as NONE unsampled (see the module docstring).
+    and the rest into the interior law.  Words with no reaching cell are
+    counted, not drawn, when they are at least half of all words (see
+    the module docstring).
     """
     noise, grid = config.noise(), config.grid()
     low, high, pool = _data_pool(config)
-    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
-    # with 4 levels a word's radix-4 value is its byte (2 payload bits per cell)
-    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
-    thr = _reach_threshold(config, k)
+    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else None
     gen = rng.gen
-    counts = np.zeros(6, dtype=np.int64)
-    for lo in range(0, n, _BATCH):
-        m = min(_BATCH, n - lo)
+
+    def draw_written(m):
         if pool is None:
-            symbols = gen.integers(low, high, (m, N_CELLS))
-        else:
-            picks = gen.integers(0, len(pool), m)
-        u = gen.random((m, N_CELLS))
-        value_u = gen.random((m, N_CELLS))
-        rows = slice(None)
-        if thr is not None:
-            # r > thr, thr a multiple of 2^-52, holds exactly when u lies in
-            # (thr/2, 1/2) or ((1 + thr)/2, 1); both bounds are exact
-            reach = (value_u > thr / 2.0) & ((value_u < 0.5) | (value_u > (1.0 + thr) / 2.0))
-            rows = _any_rows(reach)
-            u, value_u, reach = u[rows], value_u[rows], reach[rows]
-        tail_mask = u < noise.tail if k is None else _SUBSET_MASK[k].take(_pair_code(u), axis=0)
-        if thr is not None:
-            keep = _any_rows(tail_mask & reach)
-            rows, tail_mask, value_u = rows[keep], tail_mask[keep], value_u[keep]
-        written = symbols[rows] if pool is None else pool.take(picks[rows], axis=0)
-        v = _read_offsets(tail_mask, value_u, noise)
-        v += grid.l0 + grid.pitch * written
-        if config.protected:
-            _, decoded, passed = decode(v, grid)
-        else:
-            decoded, passed = margin_sense(v, grid), None
-        # only the few wrong rows are classified and counted in bits
-        bad = _any_rows(decoded != written)
-        written, decoded = written[bad], decoded[bad]
-        passed = None if passed is None else passed[bad]
-        cls = _classify(written, decoded, passed, config.protected)
-        counts[:5] += np.bincount(cls, minlength=5)
-        counts[0] += m - len(bad)
-        wb = byte_of[written @ radix]
-        db = byte_of[decoded @ radix]
-        # an unmapped decode counts as a full byte
-        counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+            return gen.integers(low, high, (m, N_CELLS))
+        return pool.take(gen.integers(0, len(pool), m), axis=0)
+
+    counts = np.zeros(6, dtype=np.int64)
+    t = _reach_threshold(config)
+    if t is None:
+        pi, probs = 1.0, None
+    else:  # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
+        pi, probs = _row_law(noise.tail, (_LATTICE - 1 - t) * 2.0**-52, k)
+    if pi > 0.5:
+        for lo in range(0, n, _BATCH):
+            m = min(_BATCH, n - lo)
+            written = draw_written(m)
+            u = gen.random((m, N_CELLS))
+            if k is None:
+                tail_mask = u < noise.tail
+            else:
+                tail_mask = _SUBSET_MASK[k].take(_pair_code(u), axis=0)
+            # v stays bound until the next batch: freeing all of a batch's
+            # arrays at once lets malloc return the heap top to the system,
+            # and the next batch faults it back in (3x the minor page
+            # faults and ~15% slower, measured)
+            v = _reads(written, tail_mask, gen.random((m, N_CELLS)), noise, grid)
+            counts += _count(written, v, grid, byte_of)
+        return counts
+    cdf = np.cumsum(probs)
+    if pi > 0.0:
+        cdf /= cdf[-1]  # ends at exactly 1, above every uniform
+    n_hit = int(gen.binomial(n, pi))
+    counts[0] = n - n_hit
+    for lo in range(0, n_hit, _CHUNK):
+        m = min(_CHUNK, n_hit - lo)
+        states = _STATES[np.searchsorted(cdf, gen.random(m), side="right")]
+        written = draw_written(m)
+        u = np.empty((m, N_CELLS))
+        interior = states == 0
+        u[interior] = gen.random(np.count_nonzero(interior))
+        for state in (1, 2):
+            cells = states == state
+            u[cells] = _lattice_u(gen, np.count_nonzero(cells), t, reaching=state == 2)
+        v = _reads(written, ~interior, u, noise, grid)
+        counts += _count(written, v, grid, byte_of)
     return counts
 
 

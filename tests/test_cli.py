@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import norsim
 from norsim.cli import build_parser, format_sig1, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -98,6 +99,8 @@ class TestTable1Command:
         m = doc["manifest"]
         assert m["command"] == "table1" and m["version"] and m["created_utc"]
         assert m["numpy"] == np.__version__
+        # the version tells the random streams of fixed-seed outputs apart
+        assert m["version"] == norsim.__version__
         _, out, _ = run_cli(capsys, "table1")
         assert f" numpy={np.__version__} " in out.splitlines()[0]
 

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from norsim.analytic import ChannelPoint, baseline_rates
@@ -21,11 +21,18 @@ from norsim.montecarlo import (
     SimConfig,
     _BATCH,
     _CLASS_ORDER,
+    _LATTICE,
     _POPCOUNT8,
+    _STATES,
     _SUBSET_MASK,
     _classify,
+    _count,
     _data_pool,
+    _lattice_u,
     _pair_code,
+    _reach_threshold,
+    _reads,
+    _row_law,
     _stratum_weights,
     _tally,
     classify_error,
@@ -139,8 +146,9 @@ class TestRunTrials:
         assert e1 == e2
 
     def test_engine_matches_scalar_decoder(self):
-        # the same stream drawn through the public API, decoded one word at
-        # a time by read_byte and classified by classify_error
+        # reads drawn through the public API, decoded one word at a time by
+        # read_byte and classified by classify_error, against the counting
+        # step both of _tally's loops call
         cfg = SimConfig(a=0.7, tail=1.0, width=0.1, delta0=4.0, trials=1, seed=6)
         grid, noise, book = cfg.grid(), cfg.noise(), CodeBook.build(5)
         rng = RngStream(99)
@@ -154,7 +162,7 @@ class TestRunTrials:
             flips = 8 if out.byte is None else bin(written_bytes[i] ^ out.byte).count("1")
             want[5] += flips
         assert want[1:5].sum() > 0
-        got = _tally(cfg, RngStream(99), 400)
+        got = _count(written, v, grid, book.byte_of)
         assert got.tolist() == want.tolist()
 
     def test_engine_matches_margin_sensing_unprotected(self):
@@ -172,7 +180,7 @@ class TestRunTrials:
             wb, sb = (int("".join(map(str, w)), 4) for w in (written[i], sensed))
             want[5] += bin(wb ^ sb).count("1")
         assert want[4] > 0
-        got = _tally(cfg, RngStream(98), 400)
+        got = _count(written, v, grid, None)
         assert got.tolist() == want.tolist()
 
     def test_events_bounded_by_hamming_bits(self):
@@ -450,8 +458,10 @@ class TestSerialization:
 
 
 def reference_tally(config, rng, n, k=None):
-    """The engine's counts with every row sampled and decoded, and stratum
-    masks from argsort: the reference the row-skipping ``_tally`` must equal."""
+    """The engine's dense loop with every row sampled and decoded, and
+    stratum masks from argsort: the reference ``_tally`` must equal bit
+    for bit when it draws every word, and in law when it draws only the
+    words with a reaching cell."""
     noise, grid = config.noise(), config.grid()
     low, high, pool = _data_pool(config)
     radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
@@ -485,9 +495,35 @@ def far_from_zero(config, pitches=1e12):
     return replace(config, l0=pitches * config.grid().pitch)
 
 
+def reach_share(config, k=None):
+    """The engine's share pi of words with a reaching cell; 1 when every
+    word is decoded because margin/2 is within the rounding slack."""
+    t = _reach_threshold(config)
+    if t is None:
+        return 1.0
+    return _row_law(config.tail, (_LATTICE - 1 - t) * 2.0**-52, k)[0]
+
+
+def assert_matches_reference(config, n, k, stream):
+    """Dense runs equal the reference exactly; sparse runs agree in law:
+    each class count within 5 sqrt(a + b + 1) and the bit flips within
+    5 sqrt(8 (a + b) + 1), a word flipping at most 8 bits."""
+    got = _tally(config, RngStream(*stream), n, k)
+    want = reference_tally(config, RngStream(*stream), n, k)
+    assert got[:5].sum() == n
+    if reach_share(config, k) > 0.5:
+        assert got.tolist() == want.tolist()
+        return
+    for a, b in zip(got[:5], want[:5]):
+        assert abs(a - b) <= 5 * math.sqrt(a + b + 1), (got, want)
+    events = got[1:5].sum() + want[1:5].sum()
+    assert abs(got[5] - want[5]) <= 5 * math.sqrt(8 * events + 1), (got, want)
+
+
 class TestSampledRows:
-    """``_tally`` samples and decodes only the rows that can be wrong; its
-    counts must equal those of the reference that decodes every row."""
+    """``_tally`` draws every word and equals the dense reference exactly
+    when most words have a reaching cell; otherwise it draws only those
+    words and must agree with the reference in law."""
 
     CASES = {
         "tail_0": (dict(a=1.0, tail=0.0, width=0.5, delta0=2.0), None),
@@ -495,8 +531,9 @@ class TestSampledRows:
         "most_rows_sampled": (dict(a=1.0, tail=1.0, width=0.0, delta0=1.0), None),
         # 3 * delta0 just above w: margin/2 is below the slack
         "tiny_margin": (dict(a=1.0, tail=0.5, width=3.0, delta0=1.0 + 1e-14), None),
-        # a * margin >= 36: the threshold meets r's largest value
+        # a * margin > 36: no point of r's lattice reaches, pi = 0
         "a_margin_37": (dict(a=1.0, tail=1.0, width=0.0, delta0=50.0), None),
+        # c near 5e-15
         "a_margin_33": (dict(a=1.0, tail=1.0, width=0.0, delta0=44.0), None),
         "unprotected_uniform": (
             dict(a=1.0, tail=0.3, width=0.5, delta0=4.0, protected=False), None),
@@ -517,10 +554,17 @@ class TestSampledRows:
         config = SimConfig(**kwargs)
         if far:
             config = far_from_zero(config)
-        n = 3 * _BATCH + 1234  # not a multiple of the batch
-        got = _tally(config, RngStream(3, 1), n, k)
-        assert got.tolist() == reference_tally(config, RngStream(3, 1), n, k).tolist()
-        assert got[:5].sum() == n
+        n = (1 << 18) + 1234  # not a multiple of a batch or a chunk
+        assert_matches_reference(config, n, k, (3, 1))
+
+    @pytest.mark.parametrize("far", [False, True], ids=["l0_0", "l0_1e12_pitch"])
+    def test_dense_cases(self, far):
+        dense = set()
+        for name, (kwargs, k) in self.CASES.items():
+            config = SimConfig(**kwargs)
+            if reach_share(far_from_zero(config) if far else config, k) > 0.5:
+                dense.add(name)
+        assert dense == {"most_rows_sampled", "tiny_margin"}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -528,17 +572,29 @@ class TestSampledRows:
             # reads 1e12 pitches from 0 V round to 1.2e-4 pitch: some reads
             # just inside a boundary are sensed past it
             dict(a=1.0, tail=0.1, width=0.0, delta0=1.5, protected=False),
-            # with a margin below that rounding, reads inside the window too
+            # with a margin below that rounding, reads inside the window
+            # too, so every word is decoded
             dict(a=1.0, tail=0.05, width=1.0, delta0=1e-5, protected=False),
         ],
         ids=["tail_reads", "window_reads"],
     )
     def test_rounding_far_from_zero(self, kwargs):
         config = far_from_zero(SimConfig(**kwargs))
-        n = 1 << 17
-        got = _tally(config, RngStream(4), n)
-        assert got.tolist() == reference_tally(config, RngStream(4), n).tolist()
+        assert_matches_reference(config, 1 << 17, None, (4,))
 
+    @pytest.mark.parametrize(
+        "name, k", [("tail_0", None), ("a_margin_37", None), ("a_margin_37", 2)]
+    )
+    def test_zero_share_counts_every_word_none(self, name, k):
+        config = SimConfig(**self.CASES[name][0])
+        if name == "a_margin_37":
+            assert _reach_threshold(config) == _LATTICE - 1  # c = 0
+        assert reach_share(config, k) == 0.0
+        assert _tally(config, RngStream(5), 3 * _BATCH + 7, k).tolist() == [
+            3 * _BATCH + 7, 0, 0, 0, 0, 0,
+        ]
+
+    @seed(13)
     @settings(max_examples=40, deadline=None)
     @given(
         a_delta0=st.floats(0.5, 40.0),
@@ -560,8 +616,141 @@ class TestSampledRows:
         )
         if far:
             config = far_from_zero(config)
-        got = _tally(config, RngStream(seed, 2), n, k)
-        assert got.tolist() == reference_tally(config, RngStream(seed, 2), n, k).tolist()
+        assert_matches_reference(config, n, k, (seed, 2))
+
+
+class TestRowLaw:
+    """``_row_law`` against a direct enumeration of the per-cell states."""
+
+    @staticmethod
+    def brute_force(p, c, k):
+        """Mass of each of the 3^4 state rows, with no cell-count shortcut."""
+        mass = {}
+        for row in product(range(3), repeat=N_CELLS):
+            if k is None:
+                cell = {0: 1.0 - p, 1: p * (1.0 - c), 2: p * c}
+                w = math.prod(cell[s] for s in row)
+            elif sum(s > 0 for s in row) == k:
+                w = math.prod({1: 1.0 - c, 2: c}[s] for s in row if s > 0)
+                w /= math.comb(N_CELLS, k)
+            else:
+                w = 0.0
+            mass[row] = w
+        return mass
+
+    @pytest.mark.parametrize("c", [0.0, 5e-15, 0.011, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "p, k",
+        [(t, None) for t in (0.0, 1e-3, 0.3, 1.0)] + [(1e-3, k) for k in range(1, N_CELLS + 1)],
+        ids=[f"tail_{t}" for t in (0.0, 1e-3, 0.3, 1.0)]
+        + [f"stratum_{k}" for k in range(1, N_CELLS + 1)],
+    )
+    def test_matches_enumeration(self, p, k, c):
+        mass = self.brute_force(p, c, k)
+        reach = sum(w for row, w in mass.items() if 2 in row)
+        no_reach = sum(w for row, w in mass.items() if 2 not in row)
+        pi, probs = _row_law(p, c, k)
+        assert pi == pytest.approx(reach, rel=1e-12, abs=1e-300)
+        assert 1.0 - pi == pytest.approx(no_reach, rel=1e-12)
+        if reach == 0.0:
+            assert pi == 0.0 and not probs.any()
+            return
+        want = [mass[tuple(row)] / reach if 2 in row else 0.0 for row in _STATES.tolist()]
+        assert probs == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+class FixedDraws:
+    """Stands in for the generator: ``integers(0, high, n)`` returns
+    ``pick(high)``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def integers(self, low, high, size):
+        assert low == 0
+        return np.asarray(self.pick(high), dtype=np.int64)
+
+
+def ends_of_halves(high):
+    """The first and last draw of each half of 0..high - 1."""
+    return [0, high // 2 - 1, high // 2, high - 1]
+
+
+def side_and_index(u):
+    """(side, lattice index) of value uniforms, checked to be exact lattice
+    points u = K 2^-53."""
+    big_k = u * 2.0**53
+    assert (big_k == np.floor(big_k)).all() and (u >= 0.0).all() and (u < 1.0).all()
+    big_k = big_k.astype(np.int64)
+    return (big_k >= _LATTICE).astype(int).tolist(), (big_k % _LATTICE).tolist()
+
+
+class TestLattice:
+    """``_lattice_u`` maps its draws onto the quiet (i <= T) and the
+    reaching (i > T) lattice points, on both sides."""
+
+    @pytest.mark.parametrize("t", [-1, 0, _LATTICE - 2, _LATTICE - 1])
+    @pytest.mark.parametrize("reaching", [False, True], ids=["quiet", "reaching"])
+    def test_bijection_at_end_points(self, t, reaching):
+        lo, hi = (t + 1, _LATTICE - 1) if reaching else (0, t)
+        if hi < lo:
+            return  # an empty set, whose state has chance 0
+        side, i = side_and_index(_lattice_u(FixedDraws(ends_of_halves), 4, t, reaching))
+        assert side == [0, 0, 1, 1]
+        assert i == [lo, hi, lo, hi]
+        # the map increases strictly, so with these ends it is a bijection
+        draws = np.sort(RngStream(6).gen.integers(0, 2 * (hi - lo + 1), 1000))
+        u = _lattice_u(FixedDraws(lambda high: draws), len(draws), t, reaching)
+        assert (np.diff(u)[np.diff(draws) > 0] > 0).all()
+        side, i = side_and_index(u)
+        assert lo <= min(i) and max(i) <= hi
+
+    @pytest.mark.parametrize("t", [-1, 0, _LATTICE - 2, _LATTICE - 1])
+    @pytest.mark.parametrize("reaching", [False, True], ids=["quiet", "reaching"])
+    def test_draws_cover_both_sides(self, t, reaching):
+        lo, hi = (t + 1, _LATTICE - 1) if reaching else (0, t)
+        n = 0 if hi < lo else 2000
+        side, i = side_and_index(_lattice_u(RngStream(7).gen, n, t, reaching))
+        assert all(lo <= x <= hi for x in i)
+        if n:
+            assert 0.45 < np.mean(side) < 0.55
+
+
+QUIET_CASES = {
+    "plain_dense": dict(a=1.0, tail=1.0, width=0.0, delta0=6.0),
+    "stratified_rare": dict(a=1.0, tail=1e-3, width=6.9, delta0=6.9),
+    "a_margin_33": dict(a=1.0, tail=1.0, width=0.0, delta0=44.0),
+    "a_margin_37": dict(a=1.0, tail=1.0, width=0.0, delta0=50.0),
+    "unprotected": dict(a=1.0, tail=0.1, width=0.0, delta0=1.5, protected=False),
+    # margin/2 a few times the slack 1e12 pitches from 0 V
+    "small_margin": dict(a=3.0, tail=0.1, width=1.0, delta0=0.36),
+}
+
+
+class TestQuietCells:
+    """A quiet tail cell, at its largest index T on either side, and an
+    interior cell at either end of its window sense their written level,
+    so words with no reaching cell are NONE."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["l0_0", "l0_1e12_pitch"])
+    @pytest.mark.parametrize("name", sorted(QUIET_CASES))
+    def test_sense_written_level(self, name, far):
+        config = SimConfig(**QUIET_CASES[name])
+        if far:
+            config = far_from_zero(config)
+        noise, grid = config.noise(), config.grid()
+        t = _reach_threshold(config)
+        assert t is not None and t >= 0
+        # per word: tail cells at the quiet lattice's largest index T, below
+        # and above, and interior cells at u = 0 and u = 1 - 2^-53
+        quiet = _lattice_u(FixedDraws(ends_of_halves), 4, t, reaching=False)
+        u = np.array([quiet[1], quiet[3], 0.0, 1.0 - 2.0**-53])
+        tail_mask = np.array([True, True, False, False])
+        written = np.repeat(np.arange(grid.n_levels)[:, None], N_CELLS, axis=1)
+        reads = _reads(written, np.tile(tail_mask, (grid.n_levels, 1)),
+                       np.tile(u, (grid.n_levels, 1)), noise, grid)
+        assert (margin_sense(reads, grid) == written).all()
 
 
 class TestSubsetTable:
