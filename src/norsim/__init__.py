@@ -53,4 +53,4 @@ from .montecarlo import (
     run_trials,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -194,8 +194,8 @@ def _read_offsets(tail_mask, u, noise: NoiseModel):
     return np.where(tail_mask, np.copysign(edge_offset, half), noise.width * half)
 
 
-# Reads per chunk of a sampling call: 2^14 four-cell words, cache-sized
-# like the engine's batches.
+# Reads per chunk of a sampling call: 2^14 four-cell words, a block whose
+# temporaries stay cache-sized.
 _CHUNK = 1 << 16
 
 

@@ -25,48 +25,42 @@ written codeword passes parity.  A tail cell reaches with chance c =
 (2^52 - 1 - T) 2^-52, and a word has a reaching cell with chance pi =
 1 - (1 - p c)^4 in a plain run and 1 - (1 - c)^k in stratum k.
 
-The stream contract has two forms.  When pi > 1/2, or when margin/2 <=
-slack and even interior reads can be sensed wrong, every word is drawn
-and decoded, in batches of 2^14 words.  Each batch draws the written
-words (one pool index per word, or one symbol per cell when
-unprotected), then one mask uniform per cell, then one value uniform per
-cell.  A plain run marks a cell as tail when its mask uniform is below
-p; stratum k marks cell j when entry j of the argsort of the word's mask
-uniforms is below k.
-
-Otherwise one draw from Binomial(n, pi) gives the number of words with a
+One draw from Binomial(n, pi) gives the number of words with a
 reaching cell, every other word counts as NONE, and only those words are
 drawn, in chunks of 2^11.  Each chunk draws one uniform per word, which
 picks its row of cell states (interior, quiet tail, reaching tail) from
 ``_row_law``, the 81-row law given a reaching cell; then the written
-words; then one value uniform per interior cell; then one integer per
-quiet tail cell and one per reaching tail cell, which picks its K
+words (one pool index per word, or one symbol per cell when
+unprotected); then one value uniform per interior cell; then one integer
+per quiet tail cell and one per reaching tail cell, which picks its K
 uniformly among its state's lattice points on either side
-(``_lattice_u``).  That is the dense form's law of the words with a
-reaching cell: their cells are independent given the tail mask, a tail
-cell's K is uniform on the lattice, and the written word is independent
-of both.  So the two forms give the same counts in law, up to the float
-rounding of the row probabilities, and the sparse form's work scales
-with n pi.
+(``_lattice_u``).  That is the law of the words with a reaching cell
+among words drawn whole: their cells are independent given the tail
+mask, a tail cell's K is uniform on the lattice, and the written word is
+independent of both.  So the counts equal those of decoding every word
+in law, up to the float rounding of the row probabilities, and the work
+scales with n pi.
+
+When margin/2 <= slack, even interior reads can be sensed wrong.  Then
+T = -1: every tail cell reaches, its K spans the whole lattice, and all n
+words are drawn (pi = 1) from the unconditioned 81-row law, the
+all-interior row included.
 
 Plain trials are sharded deterministically: trial t belongs to shard
 t mod shards, and shard i consumes the random stream (seed, i).  Shards,
-and the strata of a stratified run, are tasks on a thread pool of at most
-``os.cpu_count()`` workers, merged in task order, so a given (seed,
-shards) pair is bit-reproducible for any worker count and scheduling.
-The tail-stratified estimator conditions on the number k of tail cells
-per word, the rare-event driver at small tail fractions, and runs
-stratum k on stream (seed, 10000 + k); cells inside the program window
-can never cross a decision boundary, so the all-interior stratum is
-accounted analytically as error-free.
+and the strata of a stratified run, run one after another, each on its
+own stream, and merge in task order, so a given (seed, shards) pair is
+bit-reproducible.  The tail-stratified estimator conditions on the
+number k of tail cells per word, the rare-event driver at small tail
+fractions, and runs stratum k on stream (seed, 10000 + k); cells inside
+the program window can never cross a decision boundary, so the
+all-interior stratum is accounted analytically as error-free.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -98,10 +92,9 @@ __all__ = [
 
 BITS_PER_WORD = 8  # N_CELLS cells * 2 payload bits per cell
 
-_BATCH = 1 << 14
-# Words per chunk when only the words with a reaching cell are drawn.  A
-# chunk's decode temporaries take ~500 B per word; 2^12 or more raise the
-# process's peak memory above that of the 2^14-word dense batches.
+# Words drawn and decoded per chunk.  A chunk's decode temporaries take
+# ~500 B per word; in a process running 30 simulate calls, peak memory
+# measured 40.6 MB at 2^11, 42.9-44.9 MB at 2^12 and 48.0-48.9 MB at 2^13.
 _CHUNK = 1 << 11
 
 _Z95 = 1.959963984540054
@@ -278,30 +271,6 @@ def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None]:
     return low, high, words[:256]
 
 
-# Stratum k marks cell j when entry j of the word's stable argsort is below
-# k.  The 6 comparisons u_i <= u_j, i < j, fix a row's stable order, ties
-# included, so the mask is a lookup at the 6-bit code of those comparisons
-# in a table built from the argsort of the 24 orderings; the other 40
-# codes cannot occur.
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _pair_code(u: np.ndarray) -> np.ndarray:
-    """Bit b of row i is ``u[i, p] <= u[i, q]`` for (p, q) = _PAIRS[b]."""
-    cols = u.T.copy()  # contiguous columns compare faster than strided ones
-    code = np.zeros(len(u), dtype=np.uint8)
-    for bit, (p, q) in enumerate(_PAIRS):
-        code |= (cols[p] <= cols[q]).view(np.uint8) << bit
-    return code
-
-
-_ORDERINGS = np.array(list(itertools.permutations(range(N_CELLS))), dtype=float)
-_SUBSET_MASK = np.zeros((N_CELLS + 1, 64, N_CELLS), dtype=bool)
-_SUBSET_MASK[:, _pair_code(_ORDERINGS)] = (
-    _ORDERINGS.argsort(axis=1, kind="stable") < np.arange(N_CELLS + 1)[:, None, None]
-)
-
-
 # A value uniform is u = K 2^-53, K < 2^53; a tail cell reads on side
 # K >= 2^52 at lattice index i = K mod 2^52, its r = i 2^-52.
 _LATTICE = 1 << 52
@@ -310,7 +279,8 @@ _LATTICE = 1 << 52
 def _reach_threshold(config: SimConfig) -> int | None:
     """T: a tail cell at lattice index i <= T reads at least ``slack``
     inside its decision boundary, as in the module docstring; None when
-    margin/2 <= slack, where interior reads too can be sensed wrong."""
+    margin/2 <= slack, where interior reads too can be sensed wrong and
+    every word is drawn."""
     noise, grid = config.noise(), config.grid()
     slack = 2.0**-49 * (abs(grid.l0) + grid.n_levels * grid.pitch)
     if grid.margin / 2.0 <= slack:
@@ -327,12 +297,16 @@ def _reach_threshold(config: SimConfig) -> int | None:
 _STATES = np.array(list(itertools.product(range(3), repeat=N_CELLS)), dtype=np.int8)
 
 
-def _row_law(p: float, c: float, k: int | None) -> tuple[float, np.ndarray]:
-    """(pi, probs): the chance pi that a word has a reaching cell, and the
-    law of its _STATES row given that it has one.  A tail cell reaches
-    with chance c; a plain run makes each cell a tail cell with chance p,
-    stratum k a uniform k-subset of the cells.  pi is computed without
-    cancellation, since c can be as small as 2^-52."""
+def _row_law(
+    p: float, c: float, k: int | None, every_word: bool = False
+) -> tuple[float, np.ndarray]:
+    """(pi, probs): the chance pi that a word is drawn, and the law of its
+    _STATES row given that it is.  A tail cell reaches with chance c; a
+    plain run makes each cell a tail cell with chance p, stratum k a
+    uniform k-subset of the cells.  A word is drawn when it has a
+    reaching cell, or always when ``every_word`` is set: then pi = 1 and
+    probs is the unconditioned law.  pi is computed without cancellation,
+    since c can be as small as 2^-52."""
     n_tail = (_STATES > 0).sum(axis=1)
     n_reach = (_STATES == 2).sum(axis=1)
     if k is None:
@@ -344,6 +318,8 @@ def _row_law(p: float, c: float, k: int | None) -> tuple[float, np.ndarray]:
         probs = np.zeros(len(_STATES))
         rows = n_tail == k
         probs[rows] = (1.0 - c) ** (k - n_reach[rows]) * c ** n_reach[rows] / math.comb(N_CELLS, k)
+    if every_word:
+        return 1.0, probs
     pi = -math.expm1(cells * math.log1p(-q)) if q < 1.0 else 1.0
     probs[n_reach == 0] = 0.0
     return pi, probs / pi if pi > 0.0 else probs
@@ -403,51 +379,33 @@ def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> n
 
     k None samples every cell from the read law; otherwise exactly k
     cells of each word, chosen uniformly, are forced into the tail law
-    and the rest into the interior law.  Words with no reaching cell are
-    counted, not drawn, when they are at least half of all words (see
-    the module docstring).
+    and the rest into the interior law.  Only the words that can be wrong
+    are drawn, as in the module docstring.
     """
     noise, grid = config.noise(), config.grid()
     low, high, pool = _data_pool(config)
     byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else None
     gen = rng.gen
 
-    def draw_written(m):
-        if pool is None:
-            return gen.integers(low, high, (m, N_CELLS))
-        return pool.take(gen.integers(0, len(pool), m), axis=0)
-
-    counts = np.zeros(6, dtype=np.int64)
     t = _reach_threshold(config)
-    if t is None:
-        pi, probs = 1.0, None
-    else:  # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
-        pi, probs = _row_law(noise.tail, (_LATTICE - 1 - t) * 2.0**-52, k)
-    if pi > 0.5:
-        for lo in range(0, n, _BATCH):
-            m = min(_BATCH, n - lo)
-            written = draw_written(m)
-            u = gen.random((m, N_CELLS))
-            if k is None:
-                tail_mask = u < noise.tail
-            else:
-                tail_mask = _SUBSET_MASK[k].take(_pair_code(u), axis=0)
-            # v stays bound until the next batch: freeing all of a batch's
-            # arrays at once lets malloc return the heap top to the system,
-            # and the next batch faults it back in (3x the minor page
-            # faults and ~15% slower, measured)
-            v = _reads(written, tail_mask, gen.random((m, N_CELLS)), noise, grid)
-            counts += _count(written, v, grid, byte_of)
-        return counts
+    every_word = t is None
+    if every_word:
+        t = -1  # every tail cell reaches, anywhere on the lattice
+    # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
+    pi, probs = _row_law(noise.tail, (_LATTICE - 1 - t) * 2.0**-52, k, every_word)
     cdf = np.cumsum(probs)
     if pi > 0.0:
         cdf /= cdf[-1]  # ends at exactly 1, above every uniform
     n_hit = int(gen.binomial(n, pi))
+    counts = np.zeros(6, dtype=np.int64)
     counts[0] = n - n_hit
     for lo in range(0, n_hit, _CHUNK):
         m = min(_CHUNK, n_hit - lo)
         states = _STATES[np.searchsorted(cdf, gen.random(m), side="right")]
-        written = draw_written(m)
+        if pool is None:
+            written = gen.integers(low, high, (m, N_CELLS))
+        else:
+            written = pool.take(gen.integers(0, len(pool), m), axis=0)
         u = np.empty((m, N_CELLS))
         interior = states == 0
         u[interior] = gen.random(np.count_nonzero(interior))
@@ -469,16 +427,6 @@ def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
     return _CLASS_ORDER[code[0]]
 
 
-def _pool_map(fn, tasks) -> list:
-    """``fn`` over the sequence ``tasks`` on a thread pool, results in task order.
-
-    numpy releases the interpreter lock in the engine's kernels, and every
-    task owns its random stream, so results equal a serial run's for any
-    number of workers."""
-    with ThreadPoolExecutor(min(len(tasks), os.cpu_count() or 1) or 1) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def run_trials(config: SimConfig) -> BerEstimate:
     """Plain Monte Carlo: write random data, read, decode, classify."""
     if config.stratified:
@@ -487,10 +435,8 @@ def run_trials(config: SimConfig) -> BerEstimate:
     # the last trial are empty and draw nothing
     n, shards = config.trials, config.shards
     counts = sum(
-        _pool_map(
-            lambda i: _tally(config, RngStream(config.seed, i), len(range(i, n, shards))),
-            range(min(shards, n)),
-        )
+        _tally(config, RngStream(config.seed, i), len(range(i, n, shards)))
+        for i in range(min(shards, n))
     )
     events = int(counts[1:5].sum())
     hamming = int(counts[5])
@@ -536,11 +482,11 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     weights = _stratum_weights(config.tail)
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
 
-    simulated = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
-    tallies = _pool_map(
-        lambda k: _tally(config, RngStream(config.seed, 10_000 + k), n_per, k), simulated
-    )
-    counts_of = dict(zip(simulated, tallies))
+    counts_of = {
+        k: _tally(config, RngStream(config.seed, 10_000 + k), n_per, k)
+        for k in range(1, N_CELLS + 1)
+        if weights[k] > 0.0
+    }
     p_hat = 0.0
     ci_lo = ci_hi = 0.0
     ham_rate = 0.0

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -409,3 +412,18 @@ def test_readme_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_cli_import_leaves_out_thread_pools():
+    # the engine runs its tasks serially, so a fresh process need not pay
+    # for importing concurrent.futures
+    src = Path(norsim.__file__).resolve().parents[1]
+    probe = (
+        "import sys, norsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -26,13 +26,13 @@ PLAIN = {
     "protected_clamping": (
         dict(a=1.0, tail=1.0, width=0.0, delta0=1.0, trials=1 << 15, seed=3),
         dict(
-            events=25093,
-            hamming=96464,
+            events=25134,
+            hamming=96858,
             per_class={
-                "none": 7675, "type_i": 11865, "type_ii": 1537, "type_iii": 4190,
-                "other": 7501,
+                "none": 7634, "type_i": 12047, "type_ii": 1606, "type_iii": 4128,
+                "other": 7353,
             },
-            ci95=(0.09514513449503599, 0.09629147397982842),
+            ci95=(0.09530258475310847, 0.09644679223105317),
         ),
     ),
     "unprotected_interior_3_shards": (
