@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _require_finite
+from .channel import _require_finite, derive_5level_margin
+from .codec import BITS_PER_WORD, N_CELLS
 
 __all__ = [
     "ChannelPoint",
@@ -51,26 +52,18 @@ class ChannelPoint:
     a_delta0: float
     a_w: float = 0.0
     tail: float = 1.0
-    n_cells: int = 4
-    bits_per_cell: int = 2
 
     def __post_init__(self):
         _require_finite(a_delta0=self.a_delta0, a_w=self.a_w)
-        if not self.a_delta0 > 0.0:
-            raise ValueError(f"a_delta0 must be > 0, got {self.a_delta0}")
-        if self.a_w < 0.0:
-            raise ValueError(f"a_w must be >= 0, got {self.a_w}")
         if not 0.0 <= self.tail <= 1.0:
             raise ValueError(f"tail must be in [0, 1], got {self.tail}")
-        if not self.a_delta > 0.0:
-            raise ValueError(
-                f"derived 5-level margin a_delta={self.a_delta} must be > 0"
-            )
+        # rejects a_delta0 <= 0, a_w < 0 and a 5-level margin <= 0
+        derive_5level_margin(self.a_delta0, self.a_w)
 
     @property
     def a_delta(self) -> float:
         """Dimensionless margin of the 5-level grid in the same window."""
-        return (3.0 * self.a_delta0 - self.a_w) / 4.0
+        return derive_5level_margin(self.a_delta0, self.a_w)
 
 
 @dataclass(frozen=True)
@@ -92,9 +85,8 @@ def baseline_rates(point: ChannelPoint) -> tuple[float, float]:
     p0 = tail * exp(-a*delta0); e0 = (1 - (1-p0)**N) / (N*B0).
     """
     p0 = point.tail * math.exp(-point.a_delta0)
-    nb = point.n_cells * point.bits_per_cell
     # expm1/log1p keep 1 - (1-p0)**N accurate down to tiny p0
-    e0 = -math.expm1(point.n_cells * math.log1p(-p0)) / nb
+    e0 = -math.expm1(N_CELLS * math.log1p(-p0)) / BITS_PER_WORD
     return p0, e0
 
 
@@ -137,11 +129,11 @@ def regime_approximations(point: ChannelPoint) -> tuple[float, float]:
     ad0, aw = point.a_delta0, point.a_w
     e2_tail = 0.5 * t * math.exp(-1.5 * ad0 - 0.5 * aw)
     _, e0 = baseline_rates(point)
-    e2_swap = 1.5 * ((3.0 * ad0 - aw) / 4.0) * t * math.exp(-0.5 * (ad0 - aw)) * e0
+    e2_swap = 1.5 * point.a_delta * t * math.exp(-0.5 * (ad0 - aw)) * e0
     return e2_tail, e2_swap
 
 
-def capacity(n_levels: int, n_cells: int, codeword_count: float) -> float:
+def capacity(n_cells: int, codeword_count: float) -> float:
     """Information capacity in bits per cell of a codebook of the given size."""
     if codeword_count < 1:
         raise ValueError(f"codeword count must be >= 1, got {codeword_count}")
@@ -150,15 +142,13 @@ def capacity(n_levels: int, n_cells: int, codeword_count: float) -> float:
     return math.log2(codeword_count) / n_cells
 
 
-def crosspolytope_word_bound(n_levels: int, n_cells: int = 4) -> float:
+def crosspolytope_word_bound(n_levels: int) -> float:
     """Word-count bound for minimum Manhattan distance 3 over 4 cells.
 
-    Packing radius-1 cross-polytopes (volume 2*n_cells + 1 = 9 in four
+    Packing radius-1 cross-polytopes (volume 2*4 + 1 = 9 in four
     dimensions) bounds the codebook size by n_levels**4 / 9.
     """
-    if n_cells != 4:
-        raise ValueError("bound implemented for 4 cells only")
-    return n_levels**4 / 9.0
+    return n_levels**N_CELLS / 9.0
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,7 @@ def table1() -> list[Table1Row]:
 
 
 def scaling_sweep(
-    a_delta0_values, tail: float = 1.0, a_w: float = 0.0
+    a_delta0_values, tail: float = ChannelPoint.tail, a_w: float = ChannelPoint.a_w
 ) -> tuple[np.ndarray, np.ndarray]:
     """(e0, e2) pairs along a grid of a*delta0 values."""
     e0s, e2s = [], []

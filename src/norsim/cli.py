@@ -39,7 +39,7 @@ from .analytic import (
     scaling_sweep,
     table1,
 )
-from .codec import CodeBook, encode, enumerate_codewords, parity_ok, read_byte
+from .codec import BITS_PER_WORD, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
 from .channel import five_level_grid
 from .montecarlo import (
     SimConfig,
@@ -131,6 +131,11 @@ def _whole(minimum: int):
 _count = _whole(1)
 
 
+def _channel_flags(args) -> tuple[float, float]:
+    """(a_w, tail) from --aw and --tail, ChannelPoint's defaults where absent."""
+    return getattr(args, "aw", ChannelPoint.a_w), getattr(args, "tail", ChannelPoint.tail)
+
+
 def _resolve_point(args) -> tuple[float, float, float]:
     """(a_delta0, a_w, tail) from --a-delta0 xor --exp-margin plus flags."""
     ad0 = getattr(args, "a_delta0", None)
@@ -141,7 +146,7 @@ def _resolve_point(args) -> tuple[float, float, float]:
         if not 0.0 < em < 1.0:
             raise ValueError(f"--exp-margin must be in (0, 1), got {em}")
         ad0 = -math.log(em)
-    return ad0, getattr(args, "aw", 0.0), getattr(args, "tail", 1.0)
+    return (ad0, *_channel_flags(args))
 
 
 def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
@@ -308,6 +313,8 @@ def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
             raise ValueError("--shards does not apply to a stratified run")
         if "trials" in given and "subtrials_per_stratum" in given:
             raise ValueError("--trials does not apply to a stratified run given --subtrials")
+    elif "subtrials_per_stratum" in given:
+        raise ValueError("--subtrials applies only to a stratified run")
     return SimConfig(a=1.0, tail=tail, width=aw, delta0=a_delta0, **given)
 
 
@@ -330,7 +337,7 @@ def cmd_simulate(args) -> dict:
     est = _estimate(config)
     doc = estimate_to_dict(est, config)
     point = config.point()
-    nbits = est.trials * 8
+    nbits = est.trials * BITS_PER_WORD
     if config.protected:
         budget = protected_rates(point)
         doc["analytic"] = {f: getattr(budget, f) for f in _BUDGET_FIELDS.values()}
@@ -378,8 +385,7 @@ def cmd_sweep(args) -> dict:
     if not values:
         raise ValueError("empty sweep grid")
     mode = getattr(args, "mode", "analytic")
-    aw = getattr(args, "aw", 0.0)
-    tail = getattr(args, "tail", 1.0)
+    aw, tail = _channel_flags(args)
 
     e0s, e2s = scaling_sweep(values, tail=tail, a_w=aw)
     rows = []
@@ -477,8 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
                 help="exp(-a*delta0), alternative to --a-delta0",
             )
         if point or sim:
-            p.add_argument("--aw", type=float, help="dimensionless a*width (default 0)")
-            p.add_argument("--tail", type=float, help="tail fraction (default 1)")
+            p.add_argument(
+                "--aw", type=float, help=f"dimensionless a*width (default {ChannelPoint.a_w:g})"
+            )
+            p.add_argument(
+                "--tail", type=float, help=f"tail fraction (default {ChannelPoint.tail:g})"
+            )
         if sim:
             p.add_argument(
                 "--protected", action=argparse.BooleanOptionalAction,

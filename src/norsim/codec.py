@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 N_CELLS = 4
+BITS_PER_WORD = 8  # N_CELLS cells * 2 payload bits per cell
 
 
 def enumerate_codewords(n_levels: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from norsim.analytic import (
     table1,
 )
 from norsim.cli import format_sig1
+from norsim.codec import N_CELLS
 
 
 def point_from_exp_margin(em, tail, aw_like_margin=True):
@@ -42,7 +43,7 @@ class TestBaseline:
         assert format_sig1(e0) == "5.E-14"
 
     def test_exact_vs_approx_bound(self):
-        # relative gap below 2 * n_cells * p0 whenever p0 < 1e-3
+        # relative gap below 2 * N_CELLS * p0 whenever p0 < 1e-3
         for ad0 in (3.0, 5.0, 8.0):
             for t in (1e-1, 1e-3, 1e-6):
                 pt = ChannelPoint(a_delta0=ad0, tail=t)
@@ -50,7 +51,7 @@ class TestBaseline:
                 if p0 >= 1e-3:
                     continue
                 approx = baseline_approximation(pt)
-                assert abs(e0 - approx) / e0 <= 2 * pt.n_cells * p0
+                assert abs(e0 - approx) / e0 <= 2 * N_CELLS * p0
 
 
 class TestProtected:
@@ -162,22 +163,24 @@ class TestRegimes:
 
 class TestCapacity:
     def test_five_level_code(self):
-        assert round(capacity(5, 4, 313), 2) == 2.07
+        assert round(capacity(4, 313), 2) == 2.07
 
     def test_seven_level_distance3_bound(self):
-        c = capacity(7, 4, crosspolytope_word_bound(7))
+        c = capacity(4, crosspolytope_word_bound(7))
         assert abs(c - 2.014) < 1e-3
         assert c > 2.0
 
     def test_uncoded_baseline(self):
-        assert capacity(4, 4, 4**4) == pytest.approx(2.0)
+        assert capacity(4, 4**4) == pytest.approx(2.0)
 
     def test_crosspolytope_bound_value(self):
         assert crosspolytope_word_bound(7) == pytest.approx(7**4 / 9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            capacity(5, 4, 0)
+            capacity(4, 0)
+        with pytest.raises(ValueError):
+            capacity(0, 313)
 
 
 class TestTable1:

@@ -1,8 +1,10 @@
 """CLI: commands, formats, manifests, config files, exit codes."""
 
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -227,6 +229,26 @@ class TestSimulateCommand:
                               "--stratified", *flags)
         assert code == 2 and named in err
 
+    def test_plain_run_rejects_subtrials(self, capsys, tmp_path):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--trials", "1000",
+                              "--subtrials", "7")
+        assert code == 2 and "--subtrials" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a-delta0 = 3\ntrials = 1000\nsubtrials = 7\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and "--subtrials" in err
+
+    @pytest.mark.parametrize("ad0,aw,named", [
+        ("1", "4", "5-level margin"),
+        ("-1", "0", "delta0 must be > 0"),
+    ])
+    def test_bad_point_message_matches_analytic(self, capsys, ad0, aw, named):
+        point = ("--a-delta0", ad0, "--aw", aw)
+        sim_code, sim_err = exit_code(capsys, "simulate", *point)
+        an_code, an_err = exit_code(capsys, "analytic", *point)
+        assert sim_code == an_code == 2
+        assert sim_err == an_err and named in sim_err
+
     def test_shards_take_count_notation(self, capsys):
         doc = run_json(capsys, "simulate", "--a-delta0", "3", "--trials", "1000",
                        "--shards", "2e0")
@@ -372,6 +394,11 @@ class TestSweepCommand:
         rows = doc["results"]["rows"]
         assert all(r["e2_simulated"] > 0 and r["ci95_lo"] <= r["ci95_hi"] for r in rows)
 
+    def test_plain_sweep_rejects_subtrials(self, capsys):
+        code, err = exit_code(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",
+                              "--trials", "1000", "--subtrials", "7")
+        assert code == 2 and "--subtrials" in err
+
     def test_stratified_zero_tail_is_param_error(self, capsys):
         code, err = exit_code(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",
                               "--stratified", "--tail", "0")
@@ -412,6 +439,24 @@ def test_readme_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_pyproject_version_is_the_package_version():
+    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == norsim.__version__
+
+
+def test_readme_library_table_names_exist():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = [l for l in lines if l.startswith("| `norsim.")]
+    assert rows
+    for row in rows:
+        module, contents = (cell.strip() for cell in row.strip("|").split("|"))
+        mod = importlib.import_module(module.strip("`"))
+        # names inside parentheses describe a listed name, e.g. CodeBook's byte_of
+        names = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", contents))
+        assert names, row
+        assert [n for n in names if not hasattr(mod, n)] == [], module
 
 
 def test_cli_import_leaves_out_thread_pools():
