@@ -53,4 +53,4 @@ from .montecarlo import (
     run_trials,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -39,7 +39,9 @@ from .analytic import (
     scaling_sweep,
     table1,
 )
-from .codec import BITS_PER_WORD, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
+from .codec import (
+    BITS_PER_WORD, N_CELLS, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
+)
 from .channel import five_level_grid
 from .montecarlo import (
     SimConfig,
@@ -107,8 +109,9 @@ def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
             setattr(args, key, val)
 
 
-def _whole(minimum: int):
-    """Argument type: a whole number >= ``minimum``, also in 1e6-style notation."""
+def _whole(minimum: int, maximum: float = math.inf):
+    """Argument type: a whole number in [minimum, maximum], also in 1e6-style notation."""
+    bounds = f">= {minimum}" + (f" and <= {maximum}" if maximum < math.inf else "")
 
     def parse(text: str) -> int:
         try:
@@ -119,16 +122,15 @@ def _whole(minimum: int):
             except ValueError:
                 val = math.nan
             val = int(val) if val.is_integer() else None
-        if val is None or val < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be a whole number >= {minimum}, got {text!r}"
-            )
+        if val is None or not minimum <= val <= maximum:
+            raise argparse.ArgumentTypeError(f"must be a whole number {bounds}, got {text!r}")
         return val
 
     return parse
 
 
-_count = _whole(1)
+# a count must fit numpy's int64, as Generator.binomial's n does
+_count = _whole(1, np.iinfo(np.int64).max)
 
 
 def _channel_flags(args) -> tuple[float, float]:
@@ -311,8 +313,11 @@ def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
         # each stratum is one stream of --subtrials words, or --trials / 4
         if "shards" in given:
             raise ValueError("--shards does not apply to a stratified run")
-        if "trials" in given and "subtrials_per_stratum" in given:
-            raise ValueError("--trials does not apply to a stratified run given --subtrials")
+        if "subtrials_per_stratum" in given:
+            if "trials" in given:
+                raise ValueError("--trials does not apply to a stratified run given --subtrials")
+            # echo the --trials value that gives the same run
+            given["trials"] = N_CELLS * given["subtrials_per_stratum"]
     elif "subtrials_per_stratum" in given:
         raise ValueError("--subtrials applies only to a stratified run")
     return SimConfig(a=1.0, tail=tail, width=aw, delta0=a_delta0, **given)
@@ -385,6 +390,11 @@ def cmd_sweep(args) -> dict:
     if not values:
         raise ValueError("empty sweep grid")
     mode = getattr(args, "mode", "analytic")
+    # the closed forms use no simulation flag
+    unused = [k for k in _SIM_FIELDS if hasattr(args, k)] if mode == "analytic" else []
+    if unused:
+        flag = unused[0].replace("_", "-")
+        raise ValueError(f"--{flag} applies only to a simulated sweep (--mode simulate or both)")
     aw, tail = _channel_flags(args)
 
     e0s, e2s = scaling_sweep(values, tail=tail, a_w=aw)

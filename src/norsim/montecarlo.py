@@ -5,15 +5,17 @@ already describes the full spread of the read-back voltage), reads are
 sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
-Both estimators run one unit of work, ``_tally(config, rng, n, k)``:
-it draws n words from one random stream and returns their class counts
-and payload bit flips.  A plain run makes each cell a tail cell with
-chance p, the tail fraction; stratum k of a stratified run makes a
-uniformly random k-subset of the cells tail cells.  A cell reads from its
-value uniform u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail
-cell reads above its window when K >= 2^52, below it otherwise, at the
-excess -log1p(-r)/(2a) past the window edge, r = i 2^-52 with lattice
-index i = K mod 2^52; an interior cell stays inside its window.
+Both estimators run one unit of work, ``_tally(config, rng, n,
+weights)``: it draws n words from one random stream and returns their
+class counts and payload bit flips.  ``weights[j]`` is the chance that a
+word has j tail cells, placed on a uniformly random j-subset of its
+cells.  A plain run makes each cell a tail cell with chance p, the tail
+fraction, so it passes the binomial law of j; stratum k of a stratified
+run passes the unit vector e_k.  A cell reads from its value uniform
+u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail cell reads
+above its window when K >= 2^52, below it otherwise, at the excess
+-log1p(-r)/(2a) past the window edge, r = i 2^-52 with lattice index
+i = K mod 2^52; an interior cell stays inside its window.
 
 A tail cell *reaches* when i > T, the index ``_reach_threshold`` gives
 for -expm1(-2a (margin/2 - slack)) rounded down with two steps to spare.
@@ -22,8 +24,10 @@ n_levels * pitch) inside its decision boundary, which bounds the rounding
 of a read voltage and of its sensed level.  So a word with no reaching
 cell reads back exactly: each cell senses its written level, and a
 written codeword passes parity.  A tail cell reaches with chance c =
-(2^52 - 1 - T) 2^-52, and a word has a reaching cell with chance pi =
-1 - (1 - p c)^4 in a plain run and 1 - (1 - c)^k in stratum k.
+(2^52 - 1 - T) 2^-52, and a word has a reaching cell with chance pi, the
+summed mass of the rows with a reaching cell under the caller's
+tail-count law: 1 - (1 - p c)^4 in a plain run, 1 - (1 - c)^k in
+stratum k.
 
 One draw from Binomial(n, pi) gives the number of words with a
 reaching cell, every other word counts as NONE, and only those words are
@@ -289,31 +293,22 @@ def _reach_threshold(config: SimConfig) -> int | None:
 _STATES = np.array(list(itertools.product(range(3), repeat=N_CELLS)), dtype=np.int8)
 
 
-def _row_law(
-    p: float, c: float, k: int | None, every_word: bool = False
-) -> tuple[float, np.ndarray]:
+def _row_law(weights: np.ndarray, c: float, every_word: bool = False) -> tuple[float, np.ndarray]:
     """(pi, probs): the chance pi that a word is drawn, and the law of its
-    _STATES row given that it is.  A tail cell reaches with chance c; a
-    plain run makes each cell a tail cell with chance p, stratum k a
-    uniform k-subset of the cells.  A word is drawn when it has a
-    reaching cell, or always when ``every_word`` is set: then pi = 1 and
-    probs is the unconditioned law.  pi is computed without cancellation,
-    since c can be as small as 2^-52."""
+    _STATES row given that it is.  ``weights[j]`` is the chance that a
+    word has j tail cells, placed on a uniform j-subset of its cells; a
+    tail cell reaches with chance c.  A word is drawn when it has a
+    reaching cell, pi being the summed mass of those rows, or always when
+    ``every_word`` is set: then pi = 1 and probs is the unconditioned law.
+    Every term is positive, so nothing cancels even at c = 2^-52."""
     n_tail = (_STATES > 0).sum(axis=1)
     n_reach = (_STATES == 2).sum(axis=1)
-    if k is None:
-        q, cells = p * c, N_CELLS
-        n_quiet = n_tail - n_reach
-        probs = (1.0 - p) ** (N_CELLS - n_tail) * (p * (1.0 - c)) ** n_quiet * q**n_reach
-    else:
-        q, cells = c, k
-        probs = np.zeros(len(_STATES))
-        rows = n_tail == k
-        probs[rows] = (1.0 - c) ** (k - n_reach[rows]) * c ** n_reach[rows] / math.comb(N_CELLS, k)
+    subsets = np.array([math.comb(N_CELLS, j) for j in range(N_CELLS + 1)])
+    probs = weights[n_tail] / subsets[n_tail] * (1.0 - c) ** (n_tail - n_reach) * c**n_reach
     if every_word:
         return 1.0, probs
-    pi = -math.expm1(cells * math.log1p(-q)) if q < 1.0 else 1.0
     probs[n_reach == 0] = 0.0
+    pi = probs.sum()
     return pi, probs / pi if pi > 0.0 else probs
 
 
@@ -324,13 +319,6 @@ def _lattice_u(gen, n: int, t: int, reaching: bool) -> np.ndarray:
     start, size = (t + 1, _LATTICE - 1 - t) if reaching else (0, t + 1)
     j = gen.integers(0, 2 * size, n)
     return (start + j + (j >= size) * (_LATTICE - size)) * 2.0**-53
-
-
-def _reads(written, tail_mask, u, noise: NoiseModel, grid: LevelGrid) -> np.ndarray:
-    """Read voltages of the cells of ``written`` (see ``_read_offsets``)."""
-    v = _read_offsets(tail_mask, u, noise)
-    v += grid.l0 + grid.pitch * written
-    return v
 
 
 def _any_rows(mask: np.ndarray) -> np.ndarray:
@@ -365,14 +353,14 @@ def _count(written, reads, grid: LevelGrid, byte_of: np.ndarray | None) -> np.nd
     return counts
 
 
-def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> np.ndarray:
+def _tally(config: SimConfig, rng: RngStream, n: int, weights: np.ndarray) -> np.ndarray:
     """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
     _CLASS_ORDER, then the total of payload bit flips.
 
-    k None samples every cell from the read law; otherwise exactly k
-    cells of each word, chosen uniformly, are forced into the tail law
-    and the rest into the interior law.  Only the words that can be wrong
-    are drawn, as in the module docstring.
+    A word has j tail cells with chance ``weights[j]`` (see ``_row_law``).
+    Only the words that can be wrong are drawn, as in the module
+    docstring: a share pi, the summed mass of the rows with a reaching
+    cell under this law.
     """
     noise, grid = config.noise(), config.grid()
     low, high, pool = _data_pool(config)
@@ -384,7 +372,7 @@ def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> n
     if every_word:
         t = -1  # every tail cell reaches, anywhere on the lattice
     # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
-    pi, probs = _row_law(noise.tail, (_LATTICE - 1 - t) * 2.0**-52, k, every_word)
+    pi, probs = _row_law(weights, (_LATTICE - 1 - t) * 2.0**-52, every_word)
     cdf = np.cumsum(probs)
     if pi > 0.0:
         cdf /= cdf[-1]  # ends at exactly 1, above every uniform
@@ -404,7 +392,8 @@ def _tally(config: SimConfig, rng: RngStream, n: int, k: int | None = None) -> n
         for state in (1, 2):
             cells = states == state
             u[cells] = _lattice_u(gen, np.count_nonzero(cells), t, reaching=state == 2)
-        v = _reads(written, ~interior, u, noise, grid)
+        v = _read_offsets(~interior, u, noise)
+        v += grid.l0 + grid.pitch * written
         counts += _count(written, v, grid, byte_of)
     return counts
 
@@ -426,8 +415,9 @@ def run_trials(config: SimConfig) -> BerEstimate:
     # shard i holds trials i, i + shards, i + 2 * shards, ...; shards past
     # the last trial are empty and draw nothing
     n, shards = config.trials, config.shards
+    weights = _stratum_weights(config.tail)
     counts = sum(
-        _tally(config, RngStream(config.seed, i), len(range(i, n, shards)))
+        _tally(config, RngStream(config.seed, i), len(range(i, n, shards)), weights)
         for i in range(min(shards, n))
     )
     events = int(counts[1:5].sum())
@@ -446,6 +436,7 @@ def run_trials(config: SimConfig) -> BerEstimate:
 
 
 def _stratum_weights(tail: float) -> np.ndarray:
+    """The binomial law of the number of tail cells of a word."""
     k = np.arange(N_CELLS + 1)
     return np.array(
         [math.comb(N_CELLS, int(i)) * tail**i * (1.0 - tail) ** (N_CELLS - i) for i in k]
@@ -473,23 +464,16 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     weights = _stratum_weights(config.tail)
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
 
-    counts_of = {
-        k: _tally(config, RngStream(config.seed, 10_000 + k), n_per, k)
-        for k in range(1, N_CELLS + 1)
-        if weights[k] > 0.0
-    }
-    p_hat = 0.0
-    ci_lo = ci_hi = 0.0
-    ham_rate = 0.0
+    p_hat = ci_lo = ci_hi = ham_rate = 0.0
     class_rates = np.zeros(5)
     work = 0
     strata: list[StratumResult] = []
-    for k in range(N_CELLS + 1):
-        w = float(weights[k])
-        if k not in counts_of:
+    for k, w in enumerate(weights.tolist()):
+        if k == 0 or w == 0.0:
             strata.append(StratumResult(k, w, 0, 0, 0.0, simulated=False))
             continue
-        counts = counts_of[k]
+        stratum_k = np.eye(N_CELLS + 1)[k]  # every word has exactly k tail cells
+        counts = _tally(config, RngStream(config.seed, 10_000 + k), n_per, stratum_k)
         events_k = int(counts[1:5].sum())
         mean_k = events_k / n_per
         p_hat += w * mean_k

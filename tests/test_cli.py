@@ -211,6 +211,23 @@ class TestSimulateCommand:
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", *flags)
         assert code == 2 and "whole number >= 1" in err
 
+    @pytest.mark.parametrize("flag", ["--trials", "--subtrials", "--shards"])
+    @pytest.mark.parametrize("value", ["1e19", str(2**63)])
+    def test_counts_must_fit_int64(self, capsys, tmp_path, flag, value):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "9", flag, value)
+        assert code == 2 and flag in err and f"<= {2**63 - 1}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a-delta0 = 9\n{flag[2:]} = {value}\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and f"{flag[2:]} must be a whole number" in err
+        assert "Traceback" not in err
+
+    def test_largest_count_runs(self, capsys):
+        # at a*margin > 36 no lattice point reaches, so no word is drawn
+        doc = run_json(capsys, "simulate", "--a-delta0", "200", "--trials", str(2**63 - 1))
+        est = doc["results"]["estimate"]
+        assert est["trials"] == 2**63 - 1 and est["word_error_events"] == 0
+
     def test_negative_seed_names_the_flag(self, capsys, tmp_path):
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--seed", "-1")
         assert code == 2 and "--seed" in err and "whole number >= 0" in err
@@ -271,6 +288,15 @@ class TestSimulateCommand:
                        "--stratified", "--trials", "400")
         strata = doc["results"]["estimate"]["strata"]
         assert [s["trials"] for s in strata if s["simulated"]] == [100] * 4
+
+    def test_stratified_subtrials_echo_their_trials(self, capsys):
+        # 4 * --subtrials is the --trials value of the same run
+        point = ("simulate", "--a-delta0", "3", "--tail", "0.1", "--stratified",
+                 "--seed", "5")
+        by_subtrials = run_json(capsys, *point, "--subtrials", "100")["results"]
+        by_trials = run_json(capsys, *point, "--trials", "400")["results"]
+        assert by_subtrials["config"]["trials"] == 400
+        assert by_subtrials["estimate"] == by_trials["estimate"]
 
     def test_config_count_is_checked(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -398,6 +424,22 @@ class TestSweepCommand:
         code, err = exit_code(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",
                               "--trials", "1000", "--subtrials", "7")
         assert code == 2 and "--subtrials" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--trials", "7", "--subtrials", "3", "--stratified", "--shards", "2"), "--trials"),
+        (("--no-protected",), "--protected"),
+        (("--mode", "analytic", "--seed", "1"), "--seed"),
+        (("--data-mode", "interior"), "--data-mode"),
+    ])
+    def test_analytic_sweep_rejects_simulation_flags(self, capsys, flags, named):
+        code, err = exit_code(capsys, "sweep", "--grid", "4,5", *flags)
+        assert code == 2 and named in err
+
+    def test_analytic_sweep_config_rejects_simulation_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("grid = 4,5\nstratified = true\n")
+        code, err = exit_code(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "--stratified" in err
 
     def test_stratified_zero_tail_is_param_error(self, capsys):
         code, err = exit_code(capsys, "sweep", "--grid", "3,4", "--mode", "simulate",

@@ -72,7 +72,7 @@ CASES = {
                     "delta0": 6.9,
                     "l0": 0.0,
                     "protected": True,
-                    "trials": 1000000,
+                    "trials": 16384,  # 4 * --subtrials, the --trials of the same run
                     "seed": 1,
                     "shards": 1,
                     "stratified": True,

@@ -27,7 +27,6 @@ from norsim.montecarlo import (
     _data_pool,
     _lattice_u,
     _reach_threshold,
-    _reads,
     _row_law,
     _stratum_weights,
     _tally,
@@ -144,7 +143,7 @@ class TestRunTrials:
     def test_engine_matches_scalar_decoder(self):
         # reads drawn through the public API, decoded one word at a time by
         # read_byte and classified by classify_error, against the counting
-        # step both of _tally's loops call
+        # step _tally calls
         cfg = SimConfig(a=0.7, tail=1.0, width=0.1, delta0=4.0, trials=1, seed=6)
         grid, noise, book = cfg.grid(), cfg.noise(), CodeBook.build(5)
         rng = RngStream(99)
@@ -356,11 +355,11 @@ class TestTaskMerge:
         strat = SimConfig(trials=1, seed=23, stratified=True,
                           subtrials_per_stratum=5_000, **self.BASE)
         serial = sum(
-            _tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)))
+            _tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)), tail_law(0.3))
             for i in range(5)
         )
         serial_strata = [
-            int(_tally(strat, RngStream(23, 10_000 + k), 5_000, k)[1:5].sum())
+            int(_tally(strat, RngStream(23, 10_000 + k), 5_000, tail_law(0.3, k))[1:5].sum())
             for k in range(1, 5)
         ]
         est = run_trials(plain)
@@ -440,6 +439,12 @@ class TestSerialization:
 REFERENCE_BATCH = 1 << 14
 
 
+def tail_law(tail, k=None):
+    """The tail-count law ``_tally`` draws from: the binomial law of a
+    plain run, or the unit vector e_k of stratum k."""
+    return _stratum_weights(tail) if k is None else np.eye(N_CELLS + 1)[k]
+
+
 def reference_tally(config, rng, n, k=None):
     """Every word drawn whole and decoded, in batches of REFERENCE_BATCH:
     each cell a tail cell with chance ``tail``, or stratum k's cells from
@@ -484,14 +489,14 @@ def reach_share(config, k=None):
     t = _reach_threshold(config)
     if t is None:
         return 1.0
-    return _row_law(config.tail, (_LATTICE - 1 - t) * 2.0**-52, k)[0]
+    return _row_law(tail_law(config.tail, k), (_LATTICE - 1 - t) * 2.0**-52)[0]
 
 
 def assert_matches_reference(config, n, k, stream):
     """``_tally`` agrees with the reference in law: each class count within
     5 sqrt(a + b + 1) and the bit flips within 5 sqrt(8 (a + b) + 1), a
     word flipping at most 8 bits."""
-    got = _tally(config, RngStream(*stream), n, k)
+    got = _tally(config, RngStream(*stream), n, tail_law(config.tail, k))
     want = reference_tally(config, RngStream(*stream), n, k)
     assert got[:5].sum() == n
     for a, b in zip(got[:5], want[:5]):
@@ -560,7 +565,7 @@ class TestSampledRows:
         n = (1 << 14) + 7
         for name in sorted(every_word):
             decoded.clear()
-            counts = _tally(cases[name], RngStream(9), n)
+            counts = _tally(cases[name], RngStream(9), n, tail_law(cases[name].tail))
             assert sum(decoded) == n and counts[:5].sum() == n
 
     @pytest.mark.parametrize(
@@ -591,7 +596,8 @@ class TestSampledRows:
             assert _reach_threshold(config) == _LATTICE - 1  # c = 0
         assert reach_share(config, k) == 0.0
         n = (3 << 14) + 7
-        assert _tally(config, RngStream(5), n, k).tolist() == [n, 0, 0, 0, 0, 0]
+        counts = _tally(config, RngStream(5), n, tail_law(config.tail, k))
+        assert counts.tolist() == [n, 0, 0, 0, 0, 0]
 
     @seed(13)
     @settings(max_examples=40, deadline=None)
@@ -653,7 +659,7 @@ class TestRowLaw:
         mass = self.brute_force(p, c, k)
         reach = sum(w for row, w in mass.items() if 2 in row)
         no_reach = sum(w for row, w in mass.items() if 2 not in row)
-        pi, probs = _row_law(p, c, k)
+        pi, probs = _row_law(tail_law(p, k), c)
         assert pi == pytest.approx(reach, rel=1e-12, abs=1e-300)
         assert 1.0 - pi == pytest.approx(no_reach, rel=1e-12)
         if reach == 0.0:
@@ -669,7 +675,7 @@ class TestRowLaw:
         # every word is drawn from the unconditioned law, whose
         # all-interior row carries (1 - p)^4 in a plain run
         mass = self.brute_force(p, c, k)
-        pi, probs = _row_law(p, c, k, every_word=True)
+        pi, probs = _row_law(tail_law(p, k), c, every_word=True)
         assert pi == 1.0
         want = [mass[tuple(row)] for row in _STATES.tolist()]
         assert probs == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -766,6 +772,7 @@ class TestQuietCells:
         u = np.array([quiet[1], quiet[3], 0.0, 1.0 - 2.0**-53])
         tail_mask = np.array([True, True, False, False])
         written = np.repeat(np.arange(grid.n_levels)[:, None], N_CELLS, axis=1)
-        reads = _reads(written, np.tile(tail_mask, (grid.n_levels, 1)),
-                       np.tile(u, (grid.n_levels, 1)), noise, grid)
+        reads = _read_offsets(np.tile(tail_mask, (grid.n_levels, 1)),
+                              np.tile(u, (grid.n_levels, 1)), noise)
+        reads += grid.l0 + grid.pitch * written
         assert (margin_sense(reads, grid) == written).all()
