@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -129,8 +130,10 @@ def _whole(minimum: int, maximum: float = math.inf):
     return parse
 
 
-# a count must fit numpy's int64, as Generator.binomial's n does
+# a count must fit numpy's int64, as Generator.binomial's n does; so must
+# the --trials a stratified run echoes, 4 * --subtrials
 _count = _whole(1, np.iinfo(np.int64).max)
+_subtrials = _whole(1, np.iinfo(np.int64).max // N_CELLS)
 
 
 def _channel_flags(args) -> tuple[float, float]:
@@ -223,17 +226,7 @@ def _flatten(d, prefix: str = "") -> dict:
 
 
 def cmd_table1(args) -> dict:
-    rows = [
-        {
-            "exp_margin": r.exp_margin,
-            "tail": r.tail,
-            "e0": r.e0,
-            "e2": r.e2,
-            "ratio": r.ratio,
-        }
-        for r in table1()
-    ]
-    return {"rows": rows}
+    return {"rows": [asdict(r) for r in table1()]}
 
 
 def _table1_text(doc: dict) -> str:
@@ -386,7 +379,10 @@ def cmd_sweep(args) -> dict:
     grid_text = getattr(args, "grid", None)
     if not grid_text:
         raise ValueError("sweep requires --grid with comma-separated a*delta0 values")
-    values = [float(x) for x in grid_text.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in grid_text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--grid must be comma-separated numbers: {exc}") from None
     if not values:
         raise ValueError("empty sweep grid")
     mode = getattr(args, "mode", "analytic")
@@ -519,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="tail-count stratified rare-event estimator",
             )
             p.add_argument(
-                "--subtrials", type=_count,
+                "--subtrials", type=_subtrials,
                 help="sub-trials per stratum (stratified runs)",
             )
             p.add_argument(

@@ -5,15 +5,16 @@ already describes the full spread of the read-back voltage), reads are
 sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
-Both estimators run one unit of work, ``_tally(config, rng, n,
-weights)``: it draws n words from one random stream and returns their
-class counts and payload bit flips.  ``weights[j]`` is the chance that a
-word has j tail cells, placed on a uniformly random j-subset of its
-cells.  A plain run makes each cell a tail cell with chance p, the tail
-fraction, so it passes the binomial law of j; stratum k of a stratified
-run passes the unit vector e_k.  A cell reads from its value uniform
-u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail cell reads
-above its window when K >= 2^52, below it otherwise, at the excess
+A run is one call of ``_tally(config, tasks)``, which derives the run's
+set-up once and yields, per task (rng, n, weights), the class counts and
+payload bit flips of n words drawn from the stream rng; so a shard or a
+stratum costs its stream and its words.  ``weights[j]`` is the chance
+that a word has j tail cells, placed on a uniformly random j-subset of
+its cells.  A plain run makes each cell a tail cell with chance p, the
+tail fraction, so its shards pass the binomial law of j; stratum k of a
+stratified run passes the unit vector e_k.  A cell reads from its value
+uniform u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail cell
+reads above its window when K >= 2^52, below it otherwise, at the excess
 -log1p(-r)/(2a) past the window edge, r = i 2^-52 with lattice index
 i = K mod 2^52; an interior cell stays inside its window.
 
@@ -51,14 +52,13 @@ words are drawn (pi = 1) from the unconditioned 81-row law, the
 all-interior row included.
 
 Plain trials are sharded deterministically: trial t belongs to shard
-t mod shards, and shard i consumes the random stream (seed, i).  Shards,
-and the strata of a stratified run, run one after another, each on its
-own stream, and merge in task order, so a given (seed, shards) pair is
-bit-reproducible.  The tail-stratified estimator conditions on the
-number k of tail cells per word, the rare-event driver at small tail
-fractions, and runs stratum k on stream (seed, 10000 + k); cells inside
-the program window can never cross a decision boundary, so the
-all-interior stratum is accounted analytically as error-free.
+t mod shards, and shard i is the task on stream (seed, i).  The
+tail-stratified estimator conditions on the number k of tail cells per
+word, the rare-event driver at small tail fractions; stratum k is the
+task on stream (seed, 10000 + k).  Cells inside the program window can
+never cross a decision boundary, so the all-interior stratum is
+accounted analytically as error-free.  Tasks run one after another and
+merge in task order, so a given (seed, shards) pair is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -252,19 +252,21 @@ def _classify(written, decoded, parity_passed, protected: bool = True) -> np.nda
     return cls
 
 
-def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None]:
-    """What a run writes, as ``(low, high, words)``: unprotected runs draw
-    each cell's symbol from low..high - 1, protected runs draw whole words
-    from ``words``.  Interior data keeps to the symbols 1..n-2; protected
-    uniform data is the 256 byte-mapped codewords."""
+def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
+    """What a run writes, as ``(low, high, words, byte_of)``: unprotected
+    runs draw each cell's symbol from low..high - 1 (byte_of None),
+    protected runs draw whole words from ``words``, whose bytes the
+    codebook's ``byte_of`` gives.  Interior data keeps to the symbols
+    1..n-2; protected uniform data is the 256 byte-mapped codewords."""
     n = config.grid().n_levels
     low, high = (1, n - 1) if config.data_mode == "interior" else (0, n)
     if not config.protected:
-        return low, high, None
-    words = CodeBook.build(n).words
+        return low, high, None, None
+    book = CodeBook.build(n)
+    words = book.words
     if config.data_mode == "interior":
-        return low, high, words[((words >= low) & (words < high)).all(axis=1)]
-    return low, high, words[:256]
+        return low, high, words[((words >= low) & (words < high)).all(axis=1)], book.byte_of
+    return low, high, words[:256], book.byte_of
 
 
 # A value uniform is u = K 2^-53, K < 2^53; a tail cell reads on side
@@ -353,49 +355,50 @@ def _count(written, reads, grid: LevelGrid, byte_of: np.ndarray | None) -> np.nd
     return counts
 
 
-def _tally(config: SimConfig, rng: RngStream, n: int, weights: np.ndarray) -> np.ndarray:
-    """Counts over ``n`` words drawn from ``rng``: the 5 class counts in
-    _CLASS_ORDER, then the total of payload bit flips.
+def _tally(config: SimConfig, tasks):
+    """Yield per task ``(rng, n, weights)`` the counts over n words drawn
+    from rng: the 5 class counts in _CLASS_ORDER, then the payload bit flips.
 
     A word has j tail cells with chance ``weights[j]`` (see ``_row_law``).
     Only the words that can be wrong are drawn, as in the module
     docstring: a share pi, the summed mass of the rows with a reaching
-    cell under this law.
+    cell under this law.  The set-up is derived once per call; a task
+    costs its stream and its words, and is read only when reached.
     """
     noise, grid = config.noise(), config.grid()
-    low, high, pool = _data_pool(config)
-    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else None
-    gen = rng.gen
+    low, high, pool, byte_of = _data_pool(config)
 
     t = _reach_threshold(config)
     every_word = t is None
     if every_word:
         t = -1  # every tail cell reaches, anywhere on the lattice
-    # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
-    pi, probs = _row_law(weights, (_LATTICE - 1 - t) * 2.0**-52, every_word)
-    cdf = np.cumsum(probs)
-    if pi > 0.0:
-        cdf /= cdf[-1]  # ends at exactly 1, above every uniform
-    n_hit = int(gen.binomial(n, pi))
-    counts = np.zeros(6, dtype=np.int64)
-    counts[0] = n - n_hit
-    for lo in range(0, n_hit, _CHUNK):
-        m = min(_CHUNK, n_hit - lo)
-        states = _STATES[np.searchsorted(cdf, gen.random(m), side="right")]
-        if pool is None:
-            written = gen.integers(low, high, (m, N_CELLS))
-        else:
-            written = pool.take(gen.integers(0, len(pool), m), axis=0)
-        u = np.empty((m, N_CELLS))
-        interior = states == 0
-        u[interior] = gen.random(np.count_nonzero(interior))
-        for state in (1, 2):
-            cells = states == state
-            u[cells] = _lattice_u(gen, np.count_nonzero(cells), t, reaching=state == 2)
-        v = _read_offsets(~interior, u, noise)
-        v += grid.l0 + grid.pitch * written
-        counts += _count(written, v, grid, byte_of)
-    return counts
+    for rng, n, weights in tasks:
+        gen = rng.gen
+        # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
+        pi, probs = _row_law(weights, (_LATTICE - 1 - t) * 2.0**-52, every_word)
+        cdf = np.cumsum(probs)
+        if pi > 0.0:
+            cdf /= cdf[-1]  # ends at exactly 1, above every uniform
+        n_hit = int(gen.binomial(n, pi))
+        counts = np.zeros(6, dtype=np.int64)
+        counts[0] = n - n_hit
+        for lo in range(0, n_hit, _CHUNK):
+            m = min(_CHUNK, n_hit - lo)
+            states = _STATES[np.searchsorted(cdf, gen.random(m), side="right")]
+            if pool is None:
+                written = gen.integers(low, high, (m, N_CELLS))
+            else:
+                written = pool.take(gen.integers(0, len(pool), m), axis=0)
+            u = np.empty((m, N_CELLS))
+            interior = states == 0
+            u[interior] = gen.random(np.count_nonzero(interior))
+            for state in (1, 2):
+                cells = states == state
+                u[cells] = _lattice_u(gen, np.count_nonzero(cells), t, reaching=state == 2)
+            v = _read_offsets(~interior, u, noise)
+            v += grid.l0 + grid.pitch * written
+            counts += _count(written, v, grid, byte_of)
+        yield counts
 
 
 def classify_error(written, outcome: DecodeOutcome) -> ErrorClass:
@@ -416,10 +419,10 @@ def run_trials(config: SimConfig) -> BerEstimate:
     # the last trial are empty and draw nothing
     n, shards = config.trials, config.shards
     weights = _stratum_weights(config.tail)
-    counts = sum(
-        _tally(config, RngStream(config.seed, i), len(range(i, n, shards)), weights)
+    counts = sum(_tally(config, (
+        (RngStream(config.seed, i), len(range(i, n, shards)), weights)
         for i in range(min(shards, n))
-    )
+    )))
     events = int(counts[1:5].sum())
     hamming = int(counts[5])
     ci = confidence_interval(events, config.trials)
@@ -463,27 +466,24 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     # reads (within width/2) can never cross a decision boundary
     weights = _stratum_weights(config.tail)
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
-
-    p_hat = ci_lo = ci_hi = ham_rate = 0.0
-    class_rates = np.zeros(5)
-    work = 0
-    strata: list[StratumResult] = []
-    for k, w in enumerate(weights.tolist()):
-        if k == 0 or w == 0.0:
-            strata.append(StratumResult(k, w, 0, 0, 0.0, simulated=False))
-            continue
-        stratum_k = np.eye(N_CELLS + 1)[k]  # every word has exactly k tail cells
-        counts = _tally(config, RngStream(config.seed, 10_000 + k), n_per, stratum_k)
-        events_k = int(counts[1:5].sum())
-        mean_k = events_k / n_per
-        p_hat += w * mean_k
-        lo_k, hi_k = confidence_interval(events_k, n_per)
-        ci_lo += w * lo_k
-        ci_hi += w * hi_k
-        ham_rate += w * int(counts[5]) / (n_per * BITS_PER_WORD)
-        class_rates += w * counts[:5] / n_per
-        work += n_per
-        strata.append(StratumResult(k, w, n_per, events_k, mean_k, simulated=True))
+    ks = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
+    exactly = np.eye(N_CELLS + 1)  # row k: every word has exactly k tail cells
+    tasks = [(RngStream(config.seed, 10_000 + k), n_per, exactly[k]) for k in ks]
+    counts = np.array(list(_tally(config, tasks)))
+    events = counts[:, 1:5].sum(axis=1)
+    w = weights[ks]
+    # weighted sums over the strata, each a running total in k order
+    totals = np.column_stack([
+        w * (events / n_per),
+        w[:, None] * [confidence_interval(int(e), n_per) for e in events],
+        w * counts[:, 5] / (n_per * BITS_PER_WORD),
+        w[:, None] * counts[:, :5] / n_per,
+    ]).cumsum(axis=0)[-1]
+    (p_hat, ci_lo, ci_hi, ham_rate), class_rates = totals[:4].tolist(), totals[4:]
+    work = n_per * len(ks)
+    strata = [StratumResult(k, w_k, 0, 0, 0.0, False) for k, w_k in enumerate(weights.tolist())]
+    for k, e in zip(ks, events.tolist()):
+        strata[k] = StratumResult(k, strata[k].weight, n_per, e, e / n_per, simulated=True)
 
     # NONE absorbs whatever rate the error classes do not account for
     class_rates[0] = max(1.0 - class_rates[1:].sum(), 0.0)
@@ -517,12 +517,11 @@ def variance_reduction_factor(est: BerEstimate) -> float:
         for s in est.strata
         if s.simulated and s.trials > 0
     )
-    work = sum(s.trials for s in est.strata if s.simulated)
     if p <= 0.0:
         return math.nan
     if var_strat == 0.0:
         return math.inf
-    return (p * (1.0 - p) / work) / var_strat
+    return (p * (1.0 - p) / est.trials) / var_strat
 
 
 def estimate_to_dict(est: BerEstimate, config: SimConfig) -> dict:

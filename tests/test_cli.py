@@ -214,19 +214,26 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag", ["--trials", "--subtrials", "--shards"])
     @pytest.mark.parametrize("value", ["1e19", str(2**63)])
     def test_counts_must_fit_int64(self, capsys, tmp_path, flag, value):
-        code, err = exit_code(capsys, "simulate", "--a-delta0", "9", flag, value)
-        assert code == 2 and flag in err and f"<= {2**63 - 1}" in err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"a-delta0 = 9\n{flag[2:]} = {value}\n")
-        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
-        assert code == 2 and f"{flag[2:]} must be a whole number" in err
-        assert "Traceback" not in err
+        # a stratified run echoes --trials = 4 * --subtrials, which must fit too
+        top = (2**63 - 1) // 4 if flag == "--subtrials" else 2**63 - 1
+        for text in (value, str(top + 1)):
+            code, err = exit_code(capsys, "simulate", "--a-delta0", "9", flag, text)
+            assert code == 2 and flag in err and f"<= {top}," in err
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"a-delta0 = 9\n{flag[2:]} = {text}\n")
+            code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+            assert code == 2 and f"{flag[2:]} must be a whole number" in err
+            assert f"<= {top}," in err and "Traceback" not in err
 
     def test_largest_count_runs(self, capsys):
         # at a*margin > 36 no lattice point reaches, so no word is drawn
-        doc = run_json(capsys, "simulate", "--a-delta0", "200", "--trials", str(2**63 - 1))
-        est = doc["results"]["estimate"]
-        assert est["trials"] == 2**63 - 1 and est["word_error_events"] == 0
+        for flags, trials in (
+            (("--trials", str(2**63 - 1)), 2**63 - 1),
+            (("--stratified", "--subtrials", str((2**63 - 1) // 4)), 2**63 - 4),
+        ):
+            doc = run_json(capsys, "simulate", "--a-delta0", "200", *flags)
+            assert doc["results"]["config"]["trials"] == trials
+            assert doc["results"]["estimate"]["word_error_events"] == 0
 
     def test_negative_seed_names_the_flag(self, capsys, tmp_path):
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--seed", "-1")
@@ -451,6 +458,10 @@ class TestSweepCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "sweep", "--grid", ",")
         assert code == 2
+
+    def test_bad_grid_value_names_the_flag(self, capsys):
+        code, err = exit_code(capsys, "sweep", "--grid", "5,abc")
+        assert code == 2 and "--grid" in err and "'abc'" in err
 
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -211,15 +211,16 @@ class TestRunTrials:
 
     def test_interior_pool_sizes(self):
         base = dict(a=1.0, tail=0.1, width=0.5, delta0=3.0, trials=1)
-        *_, uniform = _data_pool(SimConfig(data_mode="uniform", **base))
-        *_, interior = _data_pool(SimConfig(data_mode="interior", **base))
-        assert len(uniform) == 256
+        _, _, uniform, byte_of = _data_pool(SimConfig(data_mode="uniform", **base))
+        _, _, interior, _ = _data_pool(SimConfig(data_mode="interior", **base))
+        assert len(uniform) == 256 and byte_of.tolist() == CodeBook.build(5).byte_of.tolist()
         # even-parity words over the three inner levels: (3**4 + 1) / 2
         assert len(interior) == 41
         assert interior.min() >= 1 and interior.max() <= 3
         # unprotected runs draw symbols 0..3, or 1..2 on interior data
-        assert _data_pool(SimConfig(data_mode="uniform", protected=False, **base)) == (0, 4, None)
-        assert _data_pool(SimConfig(data_mode="interior", protected=False, **base)) == (1, 3, None)
+        unprotected = dict(base, protected=False)
+        assert _data_pool(SimConfig(data_mode="uniform", **unprotected)) == (0, 4, None, None)
+        assert _data_pool(SimConfig(data_mode="interior", **unprotected)) == (1, 3, None, None)
 
     def test_stratified_flag_routes_away(self):
         cfg = SimConfig(a=1.0, tail=0.1, width=0.5, delta0=3.0, trials=100,
@@ -355,11 +356,11 @@ class TestTaskMerge:
         strat = SimConfig(trials=1, seed=23, stratified=True,
                           subtrials_per_stratum=5_000, **self.BASE)
         serial = sum(
-            _tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)), tail_law(0.3))
+            tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)), tail_law(0.3))
             for i in range(5)
         )
         serial_strata = [
-            int(_tally(strat, RngStream(23, 10_000 + k), 5_000, tail_law(0.3, k))[1:5].sum())
+            int(tally(strat, RngStream(23, 10_000 + k), 5_000, tail_law(0.3, k))[1:5].sum())
             for k in range(1, 5)
         ]
         est = run_trials(plain)
@@ -371,6 +372,55 @@ class TestTaskMerge:
         }
         assert strata[0] == strata[1] == strata[2]
         assert [s.events for s in strata[0].strata[1:]] == serial_strata
+
+    def test_stratified_sums_equal_the_loop(self):
+        # the weighted sums as a loop adds them: one stratum at a time, in k order
+        config = SimConfig(trials=1, seed=24, stratified=True,
+                           subtrials_per_stratum=5_000, **self.BASE)
+        p_hat = lo = hi = ham = 0.0
+        rates = np.zeros(5)
+        for k, w in enumerate(_stratum_weights(config.tail).tolist()[1:], start=1):
+            counts = tally(config, RngStream(24, 10_000 + k), 5_000, tail_law(config.tail, k))
+            events = int(counts[1:5].sum())
+            p_hat += w * (events / 5_000)
+            lo_k, hi_k = confidence_interval(events, 5_000)
+            lo += w * lo_k
+            hi += w * hi_k
+            ham += w * int(counts[5]) / (5_000 * 8)
+            rates += w * counts[:5] / 5_000
+        rates[0] = max(1.0 - rates[1:].sum(), 0.0)
+        est = run_stratified(config)
+        assert est.event_rate_per_bit == p_hat / 8 and est.hamming_rate == ham
+        assert est.ci95 == (lo / 8, hi / 8)
+        assert est.per_class == {c.value: float(rates[i] * 20_000)
+                                 for i, c in enumerate(_CLASS_ORDER)}
+
+
+class TestRunSetUp:
+    """A run derives its set-up once, however many shards or strata it has."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=5_000, shards=50),
+        dict(trials=4, stratified=True, subtrials_per_stratum=2_000),
+    ], ids=["plain_50_shards", "stratified_4_strata"])
+    def test_set_up_once_per_run(self, monkeypatch, kwargs):
+        calls = {"_reach_threshold": 0, "CodeBook.build": 0}
+        real_threshold, real_build = montecarlo._reach_threshold, CodeBook.build
+
+        def threshold(config):
+            calls["_reach_threshold"] += 1
+            return real_threshold(config)
+
+        def build(cls, n_levels=5):
+            calls["CodeBook.build"] += 1
+            return real_build(n_levels)
+
+        monkeypatch.setattr(montecarlo, "_reach_threshold", threshold)
+        monkeypatch.setattr(CodeBook, "build", classmethod(build))
+        config = SimConfig(a=1.0, tail=0.3, width=0.5, delta0=3.0, seed=4, **kwargs)
+        est = run_stratified(config) if config.stratified else run_trials(config)
+        assert est.word_error_events > 0
+        assert calls == {"_reach_threshold": 1, "CodeBook.build": 1}
 
 
 class TestSerialization:
@@ -445,13 +495,19 @@ def tail_law(tail, k=None):
     return _stratum_weights(tail) if k is None else np.eye(N_CELLS + 1)[k]
 
 
+def tally(config, rng, n, weights):
+    """The counts of one task ``(rng, n, weights)``, tallied on its own."""
+    (counts,) = _tally(config, [(rng, n, weights)])
+    return counts
+
+
 def reference_tally(config, rng, n, k=None):
     """Every word drawn whole and decoded, in batches of REFERENCE_BATCH:
     each cell a tail cell with chance ``tail``, or stratum k's cells from
     an argsort, and a value uniform per cell.  ``_tally`` must agree with
     it in law."""
     noise, grid = config.noise(), config.grid()
-    low, high, pool = _data_pool(config)
+    low, high, pool, _ = _data_pool(config)
     radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
     byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
     gen = rng.gen
@@ -496,7 +552,7 @@ def assert_matches_reference(config, n, k, stream):
     """``_tally`` agrees with the reference in law: each class count within
     5 sqrt(a + b + 1) and the bit flips within 5 sqrt(8 (a + b) + 1), a
     word flipping at most 8 bits."""
-    got = _tally(config, RngStream(*stream), n, tail_law(config.tail, k))
+    got = tally(config, RngStream(*stream), n, tail_law(config.tail, k))
     want = reference_tally(config, RngStream(*stream), n, k)
     assert got[:5].sum() == n
     for a, b in zip(got[:5], want[:5]):
@@ -565,7 +621,7 @@ class TestSampledRows:
         n = (1 << 14) + 7
         for name in sorted(every_word):
             decoded.clear()
-            counts = _tally(cases[name], RngStream(9), n, tail_law(cases[name].tail))
+            counts = tally(cases[name], RngStream(9), n, tail_law(cases[name].tail))
             assert sum(decoded) == n and counts[:5].sum() == n
 
     @pytest.mark.parametrize(
@@ -596,7 +652,7 @@ class TestSampledRows:
             assert _reach_threshold(config) == _LATTICE - 1  # c = 0
         assert reach_share(config, k) == 0.0
         n = (3 << 14) + 7
-        counts = _tally(config, RngStream(5), n, tail_law(config.tail, k))
+        counts = tally(config, RngStream(5), n, tail_law(config.tail, k))
         assert counts.tolist() == [n, 0, 0, 0, 0, 0]
 
     @seed(13)
