@@ -5,16 +5,16 @@ already describes the full spread of the read-back voltage), reads are
 sampled per cell, and words are decoded either by margin sensing alone
 (4-level, unprotected) or by the parity codec (5-level, protected).
 
-A run is one call of ``_tally(config, tasks)``, which derives the run's
-set-up once and yields, per task (rng, n, weights), the class counts and
-payload bit flips of n words drawn from the stream rng; so a shard or a
-stratum costs its stream and its words.  ``weights[j]`` is the chance
-that a word has j tail cells, placed on a uniformly random j-subset of
-its cells.  A plain run makes each cell a tail cell with chance p, the
-tail fraction, so its shards pass the binomial law of j; stratum k of a
-stratified run passes the unit vector e_k.  A cell reads from its value
-uniform u = K 2^-53, K < 2^53 (``channel._read_offsets``): a tail cell
-reads above its window when K >= 2^52, below it otherwise, at the excess
+A run is one call of ``_tally(config, tasks)``: it derives the set-up
+once, so a shard or stratum costs its stream and its words, and yields
+per task (rng, n, weights) the class counts and payload bit flips of n
+words drawn from rng.  ``weights[j]`` is the chance that a word has j
+tail cells, placed on a uniformly random j-subset of its cells.  A plain
+run makes each cell a tail cell with chance p, the tail fraction, so its
+shards pass the binomial law of j; stratum k of a stratified run passes
+the unit vector e_k.  A cell reads from its value uniform u = K 2^-53,
+K < 2^53 (``channel._read_offsets``): a tail cell reads above its window
+when K >= 2^52, below it otherwise, at the excess
 -log1p(-r)/(2a) past the window edge, r = i 2^-52 with lattice index
 i = K mod 2^52; an interior cell stays inside its window.
 
@@ -254,19 +254,16 @@ def _classify(written, decoded, parity_passed, protected: bool = True) -> np.nda
 
 def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
     """What a run writes, as ``(low, high, words, byte_of)``: unprotected
-    runs draw each cell's symbol from low..high - 1 (byte_of None),
-    protected runs draw whole words from ``words``, whose bytes the
-    codebook's ``byte_of`` gives.  Interior data keeps to the symbols
-    1..n-2; protected uniform data is the 256 byte-mapped codewords."""
+    runs draw each cell's symbol from low..high - 1; protected runs draw
+    whole words from ``words``, the byte-mapped codewords with symbols in
+    low..high - 1, whose bytes are ``byte_of``.  Interior data keeps to 1..n-2."""
     n = config.grid().n_levels
     low, high = (1, n - 1) if config.data_mode == "interior" else (0, n)
     if not config.protected:
         return low, high, None, None
     book = CodeBook.build(n)
-    words = book.words
-    if config.data_mode == "interior":
-        return low, high, words[((words >= low) & (words < high)).all(axis=1)], book.byte_of
-    return low, high, words[:256], book.byte_of
+    words = book.words[:256]  # the byte-mapped codewords
+    return low, high, words[((words >= low) & (words < high)).all(axis=1)], book.byte_of
 
 
 # A value uniform is u = K 2^-53, K < 2^53; a tail cell reads on side
@@ -362,8 +359,8 @@ def _tally(config: SimConfig, tasks):
     A word has j tail cells with chance ``weights[j]`` (see ``_row_law``).
     Only the words that can be wrong are drawn, as in the module
     docstring: a share pi, the summed mass of the rows with a reaching
-    cell under this law.  The set-up is derived once per call; a task
-    costs its stream and its words, and is read only when reached.
+    cell under this law.  The set-up is derived once per call, so a task
+    costs its stream and its words.
     """
     noise, grid = config.noise(), config.grid()
     low, high, pool, byte_of = _data_pool(config)
@@ -468,22 +465,26 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
     ks = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
     exactly = np.eye(N_CELLS + 1)  # row k: every word has exactly k tail cells
-    tasks = [(RngStream(config.seed, 10_000 + k), n_per, exactly[k]) for k in ks]
-    counts = np.array(list(_tally(config, tasks)))
-    events = counts[:, 1:5].sum(axis=1)
-    w = weights[ks]
-    # weighted sums over the strata, each a running total in k order
-    totals = np.column_stack([
-        w * (events / n_per),
-        w[:, None] * [confidence_interval(int(e), n_per) for e in events],
-        w * counts[:, 5] / (n_per * BITS_PER_WORD),
-        w[:, None] * counts[:, :5] / n_per,
-    ]).cumsum(axis=0)[-1]
-    (p_hat, ci_lo, ci_hi, ham_rate), class_rates = totals[:4].tolist(), totals[4:]
+    rows = _tally(config, [(RngStream(config.seed, 10_000 + k), n_per, exactly[k]) for k in ks])
+
+    p_hat = ci_lo = ci_hi = ham_rate = 0.0
+    class_rates = np.zeros(5)
     work = n_per * len(ks)
-    strata = [StratumResult(k, w_k, 0, 0, 0.0, False) for k, w_k in enumerate(weights.tolist())]
-    for k, e in zip(ks, events.tolist()):
-        strata[k] = StratumResult(k, strata[k].weight, n_per, e, e / n_per, simulated=True)
+    strata: list[StratumResult] = []
+    for k, w in enumerate(weights.tolist()):
+        if k not in ks:
+            strata.append(StratumResult(k, w, 0, 0, 0.0, simulated=False))
+            continue
+        counts = next(rows)
+        events_k = int(counts[1:5].sum())
+        mean_k = events_k / n_per
+        p_hat += w * mean_k
+        lo_k, hi_k = confidence_interval(events_k, n_per)
+        ci_lo += w * lo_k
+        ci_hi += w * hi_k
+        ham_rate += w * int(counts[5]) / (n_per * BITS_PER_WORD)
+        class_rates += w * counts[:5] / n_per
+        strata.append(StratumResult(k, w, n_per, events_k, mean_k, simulated=True))
 
     # NONE absorbs whatever rate the error classes do not account for
     class_rates[0] = max(1.0 - class_rates[1:].sum(), 0.0)
@@ -517,11 +518,12 @@ def variance_reduction_factor(est: BerEstimate) -> float:
         for s in est.strata
         if s.simulated and s.trials > 0
     )
+    work = sum(s.trials for s in est.strata if s.simulated)
     if p <= 0.0:
         return math.nan
     if var_strat == 0.0:
         return math.inf
-    return (p * (1.0 - p) / est.trials) / var_strat
+    return (p * (1.0 - p) / work) / var_strat
 
 
 def estimate_to_dict(est: BerEstimate, config: SimConfig) -> dict:

@@ -226,14 +226,16 @@ class TestSimulateCommand:
             assert f"<= {top}," in err and "Traceback" not in err
 
     def test_largest_count_runs(self, capsys):
-        # at a*margin > 36 no lattice point reaches, so no word is drawn
+        # at a*margin > 36 no lattice point reaches, so no word is drawn;
+        # at tail 0.5 all four tail strata are simulated
         for flags, trials in (
             (("--trials", str(2**63 - 1)), 2**63 - 1),
-            (("--stratified", "--subtrials", str((2**63 - 1) // 4)), 2**63 - 4),
+            (("--stratified", "--tail", "0.5", "--subtrials", str((2**63 - 1) // 4)), 2**63 - 4),
         ):
             doc = run_json(capsys, "simulate", "--a-delta0", "200", *flags)
+            est = doc["results"]["estimate"]
             assert doc["results"]["config"]["trials"] == trials
-            assert doc["results"]["estimate"]["word_error_events"] == 0
+            assert est["trials"] == trials and est["word_error_events"] == 0
 
     def test_negative_seed_names_the_flag(self, capsys, tmp_path):
         code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--seed", "-1")

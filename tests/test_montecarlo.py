@@ -373,27 +373,28 @@ class TestTaskMerge:
         assert strata[0] == strata[1] == strata[2]
         assert [s.events for s in strata[0].strata[1:]] == serial_strata
 
-    def test_stratified_sums_equal_the_loop(self):
-        # the weighted sums as a loop adds them: one stratum at a time, in k order
-        config = SimConfig(trials=1, seed=24, stratified=True,
-                           subtrials_per_stratum=5_000, **self.BASE)
-        p_hat = lo = hi = ham = 0.0
-        rates = np.zeros(5)
-        for k, w in enumerate(_stratum_weights(config.tail).tolist()[1:], start=1):
-            counts = tally(config, RngStream(24, 10_000 + k), 5_000, tail_law(config.tail, k))
-            events = int(counts[1:5].sum())
-            p_hat += w * (events / 5_000)
-            lo_k, hi_k = confidence_interval(events, 5_000)
-            lo += w * lo_k
-            hi += w * hi_k
-            ham += w * int(counts[5]) / (5_000 * 8)
-            rates += w * counts[:5] / 5_000
-        rates[0] = max(1.0 - rates[1:].sum(), 0.0)
+    def test_stratum_means_divide_whole_counts(self, monkeypatch):
+        # above 2^53 words per stratum a float cast of n_per rounds; the
+        # means divide the whole counts, as events / n_per does in Python
+        n_per = 2**53 + 1
+        rows = {1: [n_per - 3, 1, 1, 0, 1, 5], 2: [n_per - 1, 0, 0, 1, 0, 2],
+                3: [n_per - 7, 2, 3, 1, 1, 9], 4: [n_per - 5, 0, 2, 2, 1, 8]}
+
+        def fake_tally(config, tasks):
+            for rng, n, weights in tasks:
+                yield np.array(rows[int(np.argmax(weights))], dtype=np.int64)
+
+        monkeypatch.setattr(montecarlo, "_tally", fake_tally)
+        config = SimConfig(trials=1, stratified=True, subtrials_per_stratum=n_per, **self.BASE)
         est = run_stratified(config)
-        assert est.event_rate_per_bit == p_hat / 8 and est.hamming_rate == ham
-        assert est.ci95 == (lo / 8, hi / 8)
-        assert est.per_class == {c.value: float(rates[i] * 20_000)
-                                 for i, c in enumerate(_CLASS_ORDER)}
+        p_hat = p_cast = 0.0
+        for k, w in enumerate(_stratum_weights(config.tail).tolist()[1:], start=1):
+            events = sum(rows[k][1:5])
+            assert est.strata[k].mean == events / n_per
+            p_hat += w * (events / n_per)
+            p_cast += w * (events / float(n_per))
+        assert est.event_rate_per_bit == p_hat / 8
+        assert p_hat != p_cast  # the case tells the two divisions apart
 
 
 class TestRunSetUp:
