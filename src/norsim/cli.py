@@ -8,13 +8,17 @@ table1     render the reference operating table (display mimics the
 analytic   evaluate the closed-form error budget at one operating point
 simulate   run the Monte Carlo engine (plain or tail-stratified)
 sweep      scan a*delta0 values, report (E0, E2) series and the fitted
-           log-log slope
+           log-log slope of each E2 series against E0, null unless every
+           rate of the fit is positive (a closed form underflows at large
+           a*delta0, a simulated point can see no event)
 roundtrip  exhaustive codec self-test
 
 Every result document embeds a run manifest (command, parameters, tool
-version, timestamp); rerunning with the recorded parameters reproduces
-the numerical content byte-for-byte.  Exit status is nonzero exactly on
-parameter or I/O errors, never on statistical outcomes.
+version, timestamp), which ``table`` and ``csv`` reports carry as two
+``#`` header lines; rerunning with the recorded parameters reproduces
+the numerical content byte-for-byte.  Exit status is 2 on parameter or
+I/O errors and 1 when the roundtrip self-test fails, never nonzero on
+statistical outcomes.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def _load_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = line.split("=", 1)
             values[key.strip().replace("-", "_")] = val.strip()
     return values
@@ -85,7 +89,7 @@ def _as_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"must be a boolean, got {text!r}")
 
 
 def _apply_config(args, parser: argparse.ArgumentParser, path: str) -> None:
@@ -155,13 +159,22 @@ def _resolve_point(args) -> tuple[float, float, float]:
 
 
 def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
-    """Write the result document in the requested format."""
+    """Write the result document in the requested format: json whole, csv
+    and table as the manifest header over the body lines their renderer
+    makes from the results block."""
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _render_csv(doc)
     else:
-        text = render_table(doc)
+        m = doc["manifest"]
+        params = " ".join(f"{k}={v}" for k, v in m["params"].items())
+        render = _csv_lines if fmt == "csv" else render_table
+        lines = [
+            f"# command={m['command']} version={m['version']} numpy={m['numpy']} "
+            f"created={m['created_utc']}",
+            f"# params: {params}",
+            *render(doc["results"]),
+        ]
+        text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -169,33 +182,17 @@ def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
         sys.stdout.write(text)
 
 
-def _manifest_comment_lines(doc: dict) -> list[str]:
-    m = doc["manifest"]
-    lines = [
-        f"# command={m['command']} version={m['version']} numpy={m['numpy']} "
-        f"created={m['created_utc']}"
-    ]
-    params = " ".join(f"{k}={v}" for k, v in m["params"].items())
-    lines.append(f"# params: {params}")
-    return lines
-
-
-def _render_csv(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    rows = doc["results"].get("rows")
+def _csv_lines(results: dict) -> list[str]:
+    rows = results.get("rows")
     if rows is None:
-        flat = _flatten(doc["results"])
-        lines.append(",".join(flat))
-        lines.append(",".join(_csv_num(v) for v in flat.values()))
-    else:
-        header = list(rows[0])
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_csv_num(row.get(k)) for k in header))
-        for k, v in doc["results"].items():
-            if k != "rows":
-                lines.append(f"# {k}={_csv_num(v)}")
-    return "\n".join(lines) + "\n"
+        flat = _flatten(results)
+        return [",".join(flat), ",".join(_csv_num(v) for v in flat.values())]
+    header = list(rows[0])
+    return [
+        ",".join(header),
+        *(",".join(_csv_num(row.get(k)) for k in header) for row in rows),
+        *(f"# {k}={_csv_num(v)}" for k, v in results.items() if k != "rows"),
+    ]
 
 
 def _csv_num(v) -> str:
@@ -229,15 +226,11 @@ def cmd_table1(args) -> dict:
     return {"rows": [asdict(r) for r in table1()]}
 
 
-def _table1_text(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    lines.append("exp_margin tail   e0     e2     e2/e0")
-    for r in doc["results"]["rows"]:
-        lines.append(
-            f"{format_sig1(r['exp_margin'])} {format_sig1(r['tail'])} "
-            f"{format_sig1(r['e0'])} {format_sig1(r['e2'])} {format_sig1(r['ratio'])}"
-        )
-    return "\n".join(lines) + "\n"
+def _table1_lines(results: dict) -> list[str]:
+    keys = ("exp_margin", "tail", "e0", "e2", "ratio")
+    return ["exp_margin tail   e0     e2     e2/e0"] + [
+        " ".join(format_sig1(r[k]) for k in keys) for r in results["rows"]
+    ]
 
 
 def cmd_analytic(args) -> dict:
@@ -279,13 +272,13 @@ def cmd_analytic(args) -> dict:
     }
 
 
-def _analytic_text(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    for section, vals in doc["results"].items():
+def _analytic_lines(results: dict) -> list[str]:
+    lines = []
+    for section, vals in results.items():
         lines.append(f"{section}:")
         for k, v in vals.items():
             lines.append(f"  {k:26s} {v if isinstance(v, str) else f'{v:.15e}'}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # simulation flag -> SimConfig field; a flag not given keeps the field's default
@@ -334,7 +327,7 @@ def cmd_simulate(args) -> dict:
     config = _sim_config(args, ad0, aw, tail)
     est = _estimate(config)
     doc = estimate_to_dict(est, config)
-    point = config.point()
+    point = ChannelPoint(a_delta0=ad0, a_w=aw, tail=tail)
     nbits = est.trials * BITS_PER_WORD
     if config.protected:
         budget = protected_rates(point)
@@ -358,21 +351,17 @@ def _safe_ratio(num: float, den: float) -> float | None:
     return num / den if den > 0.0 else None
 
 
-def _simulate_text(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    est = doc["results"]["estimate"]
-    lines.append(
+def _simulate_lines(results: dict) -> list[str]:
+    est = results["estimate"]
+    return [
         f"trials={est['trials']} events={est['word_error_events']} "
         f"event_rate_per_bit={est['event_rate_per_bit']:.6e} "
-        f"ci95=({est['ci95'][0]:.3e}, {est['ci95'][1]:.3e})"
-    )
-    lines.append(f"hamming_rate={est['hamming_rate']:.6e}")
-    lines.append("per_class: " + json.dumps(est["per_class"]))
-    lines.append("analytic: " + json.dumps(doc["results"]["analytic"]))
-    lines.append(
-        "empirical/analytic: " + json.dumps(doc["results"]["empirical_over_analytic"])
-    )
-    return "\n".join(lines) + "\n"
+        f"ci95=({est['ci95'][0]:.3e}, {est['ci95'][1]:.3e})",
+        f"hamming_rate={est['hamming_rate']:.6e}",
+        "per_class: " + json.dumps(est["per_class"]),
+        "analytic: " + json.dumps(results["analytic"]),
+        "empirical/analytic: " + json.dumps(results["empirical_over_analytic"]),
+    ]
 
 
 def cmd_sweep(args) -> dict:
@@ -399,7 +388,7 @@ def cmd_sweep(args) -> dict:
         rows.append({"a_delta0": ad0, "e0": float(e0), "e2_analytic": float(e2)})
     slopes = {}
     if mode != "simulate":
-        slopes["analytic"] = fit_loglog_slope(e0s, e2s)
+        slopes["analytic"] = _slope(e0s, e2s)
     if mode in ("simulate", "both"):
         sim = []
         for row in rows:
@@ -408,19 +397,25 @@ def cmd_sweep(args) -> dict:
             row["e2_simulated"] = est.event_rate_per_bit
             row["ci95_lo"], row["ci95_hi"] = est.ci95
             sim.append(est.event_rate_per_bit)
-        slopes["simulated"] = fit_loglog_slope(e0s, sim) if min(sim) > 0 else None
+        slopes["simulated"] = _slope(e0s, sim)
     return {"rows": rows, "slopes": slopes}
 
 
-def _sweep_text(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    rows = doc["results"]["rows"]
+def _slope(e0s, rates) -> float | None:
+    """The fitted log-log slope of rates against e0, or None unless every
+    rate is positive: a closed form can underflow to 0, and a simulated
+    point can see no event."""
+    return fit_loglog_slope(e0s, rates) if all(r > 0 for r in (*e0s, *rates)) else None
+
+
+def _sweep_lines(results: dict) -> list[str]:
+    rows = results["rows"]
     header = list(rows[0])
-    lines.append(" ".join(f"{h:>14s}" for h in header))
-    for row in rows:
-        lines.append(" ".join(f"{_csv_num(row.get(k)):>14s}" for k in header))
-    lines.append("slopes: " + json.dumps(doc["results"]["slopes"]))
-    return "\n".join(lines) + "\n"
+    return [
+        " ".join(f"{h:>14s}" for h in header),
+        *(" ".join(f"{_csv_num(row.get(k)):>14s}" for k in header) for row in rows),
+        "slopes: " + json.dumps(results["slopes"]),
+    ]
 
 
 def cmd_roundtrip(args) -> dict:
@@ -445,21 +440,18 @@ def cmd_roundtrip(args) -> dict:
     return checks
 
 
-def _roundtrip_text(doc: dict) -> str:
-    lines = _manifest_comment_lines(doc)
-    for k, v in doc["results"].items():
-        lines.append(f"{'ok' if v else 'FAIL'}  {k}")
-    return "\n".join(lines) + "\n"
+def _roundtrip_lines(results: dict) -> list[str]:
+    return [f"{'ok' if v else 'FAIL'}  {k}" for k, v in results.items()]
 
 
 # ---------------------------------------------------------------- driver
 
 _COMMANDS = {
-    "table1": (cmd_table1, _table1_text),
-    "analytic": (cmd_analytic, _analytic_text),
-    "simulate": (cmd_simulate, _simulate_text),
-    "sweep": (cmd_sweep, _sweep_text),
-    "roundtrip": (cmd_roundtrip, _roundtrip_text),
+    "table1": (cmd_table1, _table1_lines),
+    "analytic": (cmd_analytic, _analytic_lines),
+    "simulate": (cmd_simulate, _simulate_lines),
+    "sweep": (cmd_sweep, _sweep_lines),
+    "roundtrip": (cmd_roundtrip, _roundtrip_lines),
 }
 
 

@@ -70,7 +70,6 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import ChannelPoint
 from .channel import (
     LevelGrid,
     NoiseModel,
@@ -171,11 +170,6 @@ class SimConfig:
         if self.protected:
             return five_level_grid(self.delta0, self.width, self.l0)
         return four_level_grid(self.delta0, self.width, self.l0)
-
-    def point(self) -> ChannelPoint:
-        return ChannelPoint(
-            a_delta0=self.a * self.delta0, a_w=self.a * self.width, tail=self.tail
-        )
 
 
 @dataclass(frozen=True)
@@ -290,6 +284,12 @@ def _reach_threshold(config: SimConfig) -> int | None:
 # The 3^4 cell-state patterns of a word: 0 interior, 1 quiet tail cell
 # (i <= T), 2 reaching tail cell (i > T).
 _STATES = np.array(list(itertools.product(range(3), repeat=N_CELLS)), dtype=np.int8)
+# per row: its j tail cells, its quiet and reaching ones, and the C(4, j)
+# subsets its tail cells can sit on
+_N_TAIL = (_STATES > 0).sum(axis=1)
+_N_REACH = (_STATES == 2).sum(axis=1)
+_N_QUIET = _N_TAIL - _N_REACH
+_SUBSETS = np.array([float(math.comb(N_CELLS, j)) for j in _N_TAIL])
 
 
 def _row_law(weights: np.ndarray, c: float, every_word: bool = False) -> tuple[float, np.ndarray]:
@@ -300,13 +300,10 @@ def _row_law(weights: np.ndarray, c: float, every_word: bool = False) -> tuple[f
     reaching cell, pi being the summed mass of those rows, or always when
     ``every_word`` is set: then pi = 1 and probs is the unconditioned law.
     Every term is positive, so nothing cancels even at c = 2^-52."""
-    n_tail = (_STATES > 0).sum(axis=1)
-    n_reach = (_STATES == 2).sum(axis=1)
-    subsets = np.array([math.comb(N_CELLS, j) for j in range(N_CELLS + 1)])
-    probs = weights[n_tail] / subsets[n_tail] * (1.0 - c) ** (n_tail - n_reach) * c**n_reach
+    probs = weights[_N_TAIL] / _SUBSETS * (1.0 - c) ** _N_QUIET * c**_N_REACH
     if every_word:
         return 1.0, probs
-    probs[n_reach == 0] = 0.0
+    probs[_N_REACH == 0] = 0.0
     pi = probs.sum()
     return pi, probs / pi if pi > 0.0 else probs
 

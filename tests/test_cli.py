@@ -1,5 +1,6 @@
 """CLI: commands, formats, manifests, config files, exit codes."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 import norsim
+from norsim import cli
 from norsim.cli import build_parser, format_sig1, main
+from norsim.codec import read_byte
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -365,6 +368,17 @@ class TestSimulateCommand:
         assert doc["manifest"]["out"] == str(report)
         assert doc["results"]["estimate"]["trials"] == 100
 
+    @pytest.mark.parametrize("line,named", [
+        ("stratified", "'stratified'"),
+        ("stratified = maybe", "stratified must be a boolean, got 'maybe'"),
+        ("data-mode = edge", "data-mode must be one of ('uniform', 'interior')"),
+    ])
+    def test_bad_config_line_names_file_and_key(self, capsys, tmp_path, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a-delta0 = 3\n{line}\n")
+        code, err = exit_code(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and str(cfg) in err and named in err
+
     def test_unknown_config_key_is_param_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a-delta0 = 3\ntials = 5\n")
@@ -413,6 +427,16 @@ class TestSweepCommand:
             warnings.simplefilter("error")  # no polyfit RankWarning either
             doc = run_json(capsys, "sweep", "--grid", "5,5")
         assert doc["results"]["slopes"]["analytic"] is None
+
+    @pytest.mark.parametrize("flags", [(), ("--mode", "both", "--trials", "1000")])
+    def test_underflowing_rate_gives_null_slope(self, capsys, flags):
+        # at a*delta0 = 800 the closed forms underflow to 0 and no word errs
+        doc = run_json(capsys, "sweep", "--grid", "5,800", "--tail", "1", *flags)
+        rows, slopes = doc["results"]["rows"], doc["results"]["slopes"]
+        assert rows[1]["e0"] == rows[1]["e2_analytic"] == 0.0
+        assert slopes["analytic"] is None
+        if flags:
+            assert rows[1]["e2_simulated"] == 0.0 and slopes["simulated"] is None
 
     def test_simulated_sweep(self, capsys):
         doc = run_json(capsys, "sweep", "--grid", "3,4", "--mode", "both",
@@ -483,6 +507,17 @@ class TestRoundtripCommand:
         assert "ok  zero_noise_roundtrip_256" in out
         assert "ok  codeword_count_313" in out
         assert "FAIL" not in out
+
+    def test_broken_decoder_fails(self, capsys, monkeypatch):
+        def wrong_byte(volts, grid, book):
+            out = read_byte(volts, grid, book)
+            return dataclasses.replace(out, byte=None if out.byte is None else out.byte ^ 1)
+
+        monkeypatch.setattr(cli, "read_byte", wrong_byte)
+        code, out, _ = run_cli(capsys, "roundtrip")
+        assert code == 1
+        assert "FAIL  zero_noise_roundtrip_256" in out and "FAIL  all_ok" in out
+        assert "ok  codeword_count_313" in out
 
 
 def test_readme_examples_parse():
