@@ -26,7 +26,6 @@ from .codec import (
     encode,
     enumerate_codewords,
     margin_sense,
-    oracle_nearest,
     parity_ok,
     read_byte,
     soft_correct,
@@ -53,4 +52,4 @@ from .montecarlo import (
     run_trials,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

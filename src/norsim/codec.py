@@ -16,6 +16,9 @@ costs no more than the whole word.  So the decoder takes the single move
 with the smallest flip cost ``|t - (x +/- 1)| - |t - x|`` in pitch units,
 ``t`` being the cell's read and ``x`` its sensed level; inside the grid
 this is ``1 - 2 * |t - x|`` toward the nearer boundary and 1 away from it.
+
+``decode`` is the one decoder, batched over words; ``read_byte`` and
+``soft_correct`` run it on a single word.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "margin_sense",
     "parity_ok",
     "soft_correct",
-    "oracle_nearest",
     "read_byte",
 ]
 
@@ -84,12 +86,13 @@ class CodeBook:
 
     def byte_for_word(self, word) -> int | None:
         """Byte value of a codeword, or None for codewords beyond the 256
-        byte-mapped ones (and for non-codewords)."""
+        byte-mapped ones (and for non-codewords, non-integral symbols
+        included)."""
         if len(word) != N_CELLS:
             return None
         r = 0
         for x in word:
-            if not 0 <= x < self.n_levels:
+            if not 0 <= x < self.n_levels or int(x) != x:
                 return None
             r = r * self.n_levels + int(x)
         byte = int(self.byte_of[r])
@@ -110,19 +113,16 @@ def margin_sense(read, grid: LevelGrid):
 
     Exact half-pitch ties round toward the lower level; results are clamped
     into the valid level range, as a physical sense amp cannot report a
-    nonexistent level.
+    nonexistent level.  NaN and infinite reads are rejected.
     """
     v = np.asarray(read, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("reads must be finite voltages")
     t = (v - grid.l0) / grid.pitch
-    sensed = np.ceil(t - 0.5).astype(np.int64)
+    # clamp before the cast, which would overflow far outside the grid;
     # np.clip costs several times more than this on one 4-cell word
-    return np.minimum(np.maximum(sensed, 0), grid.n_levels - 1)
-
-
-def _l1_distances(read, grid: LevelGrid, words: np.ndarray) -> np.ndarray:
-    v = np.asarray(read, dtype=float)
-    level_v = grid.l0 + grid.pitch * words
-    return np.abs(v[None, :] - level_v).sum(axis=1)
+    sensed = np.minimum(np.maximum(np.ceil(t - 0.5), 0), grid.n_levels - 1)
+    return sensed.astype(np.int64)
 
 
 # The 8 one-level moves: down on cells 0..3, then up on cells 3..0.  Applied
@@ -161,8 +161,8 @@ def decode(reads, grid: LevelGrid):
 
 def _one_read(read) -> np.ndarray:
     v = np.asarray(read, dtype=float)
-    if v.shape != (N_CELLS,) or not np.isfinite(v).all():
-        raise ValueError(f"read vector must be {N_CELLS} finite voltages")
+    if v.shape != (N_CELLS,):
+        raise ValueError(f"read vector must be {N_CELLS} voltages, got shape {v.shape}")
     return v
 
 
@@ -183,49 +183,22 @@ def soft_correct(read, sensed, grid: LevelGrid, book: CodeBook) -> tuple:
     return tuple(decoded[0].tolist())
 
 
-def oracle_nearest(read, grid: LevelGrid, book: CodeBook) -> tuple:
-    """L1-nearest codeword over the full codebook (reference decoder)."""
-    word, _ = _oracle_nearest_with_distance(read, grid, book)
-    return word
-
-
-def _oracle_nearest_with_distance(read, grid, book):
-    dist = _l1_distances(read, grid, book.words)
-    i = int(np.argmin(dist))
-    return tuple(int(x) for x in book.words[i]), float(dist[i])
-
-
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """Result of one word read.
-
-    ``corrected`` is present exactly when parity failed and the soft
-    correction ran; ``byte`` is absent when the decoded word is outside
-    the byte mapping.
-    """
+    """Result of one word read: the sensed word, its parity check, the
+    decoded word (the sensed word when parity passed), and the decoded
+    word's byte, absent when the word is outside the byte mapping."""
 
     sensed: tuple
     parity_passed: bool
-    corrected: tuple | None
+    word: tuple
     byte: int | None
-    decoder_distance: float | None
-
-    @property
-    def word(self) -> tuple:
-        return self.sensed if self.parity_passed else self.corrected
 
 
 def read_byte(read, grid: LevelGrid, book: CodeBook) -> DecodeOutcome:
-    """Full read path: margin sense, parity check, soft correction."""
-    v = _one_read(read)
-    sensed, decoded, passed = decode(v[None], grid)
+    """Full read path of one word: ``decode`` plus the byte mapping."""
+    sensed, decoded, passed = decode(_one_read(read)[None], grid)
     ok = bool(passed[0])
     sensed_word = tuple(sensed[0].tolist())
     word = sensed_word if ok else tuple(decoded[0].tolist())
-    return DecodeOutcome(
-        sensed=sensed_word,
-        parity_passed=ok,
-        corrected=None if ok else word,
-        byte=book.byte_for_word(word),
-        decoder_distance=None if ok else float(_l1_distances(v, grid, decoded)[0]),
-    )
+    return DecodeOutcome(sensed_word, ok, word, book.byte_for_word(word))

@@ -2,8 +2,9 @@
 
 The benchmark under ``bench/`` imports norsim's public and internal names
 and builds ``SimConfig`` itself.  Importing its worker and per-layer
-probes, and running each workload's configuration on a few words, fails
-here when a change removes or renames something the benchmark uses.
+probes, running each workload's configuration on a few words, and running
+one chunk of its checked ``read_byte`` calls fails here when a change
+removes or renames something the benchmark uses, or changes what it reads.
 """
 
 import sys
@@ -28,3 +29,13 @@ def test_workload_config_runs(name):
     config = WORKLOADS[name].config(seed=1, words=64)
     est = (run_stratified if config.stratified else run_trials)(config)
     assert est.trials == 64
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_decode_chunk_matches_brute_force(name):
+    # the bench reads .word, .parity_passed and .byte of every read_byte call
+    # and checks them against its own full-search decoder
+    chunks = worker.DecodeChunks(WORKLOADS[name], 1)
+    chunks.run(0)
+    assert chunks.problems() == []
+    assert chunks.calls == 2048

@@ -14,12 +14,10 @@ from norsim.codec import (
     encode,
     enumerate_codewords,
     margin_sense,
-    oracle_nearest,
     parity_ok,
     read_byte,
     soft_correct,
 )
-from norsim.codec import _l1_distances, _oracle_nearest_with_distance
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +44,12 @@ def brute_nearest(volts, grid, allowed_sums=None):
     return best, best_d
 
 
+def l1(volts, grid, words):
+    """L1 distance from a read to each row of ``words``."""
+    level_v = grid.l0 + grid.pitch * np.asarray(words)
+    return np.abs(np.asarray(volts, dtype=float) - level_v).sum(axis=-1)
+
+
 def masked_search(volts, grid, book):
     """Full-codebook decode: the sensed word if it passes parity, else the
     L1-nearest word with sum = sensed sum +/- 1, lowest index on ties (the
@@ -55,7 +59,7 @@ def masked_search(volts, grid, book):
     if s % 2 == 0:
         return tuple(sensed.tolist()), None
     sums = book.words.sum(axis=1)
-    dist = np.where(np.abs(sums - s) == 1, _l1_distances(volts, grid, book.words), np.inf)
+    dist = np.where(np.abs(sums - s) == 1, l1(volts, grid, book.words), np.inf)
     return tuple(book.words[dist.argmin()].tolist()), dist
 
 
@@ -134,7 +138,10 @@ class TestEncode:
             assert book.byte_for_word(w) == want.get(w)
             assert book.byte_for_word(np.array(w)) == want.get(w)
 
-    @pytest.mark.parametrize("word", [(5, 0, 0, 1), (0, -1, 1, 0), (0, 0, 0), (0, 0, 0, 0, 0)])
+    @pytest.mark.parametrize("word", [
+        (5, 0, 0, 1), (0, -1, 1, 0), (0, 0, 0), (0, 0, 0, 0, 0),
+        (0.5, 0, 0, 0), (0, 0, 1.25, 1), (1, 1, 0, 0.999),  # non-integral symbols
+    ])
     def test_byte_map_rejects_non_words(self, book, word):
         assert book.byte_for_word(word) is None
 
@@ -160,6 +167,17 @@ class TestMarginSense:
     def test_clamps_above(self, grid):
         v = np.full(4, grid.l0 + 99 * grid.pitch)
         assert list(margin_sense(v, grid)) == [4, 4, 4, 4]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far, level", [(1e19, 4), (-1e30, 0), (1e300, 4), (-1e300, 0)])
+    def test_far_out_read_clamps(self, grid, far, level):
+        v = np.array([far, grid.levels[1], grid.levels[1], grid.levels[0]])
+        assert list(margin_sense(v, grid)) == [level, 1, 1, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_read(self, grid, bad):
+        with pytest.raises(ValueError):
+            margin_sense([0.0, bad, 0.0, 0.0], grid)
 
     def test_just_under_half_pitch(self, grid):
         v = grid.levels[np.array([0, 1, 2, 3])] + 0.49 * grid.pitch
@@ -215,6 +233,26 @@ class TestSoftCorrect:
             assert soft_correct(volts, sensed, grid, book) == expect
         assert checked > 100
 
+    def test_dominates_soft_correct(self, grid, book):
+        noise = NoiseModel(a=0.8, tail=1.0, width=0.2)
+        rng = RngStream(81)
+        strict = 0
+        for _ in range(500):
+            written = book.words[rng.gen.integers(0, len(book.words))]
+            volts = sample_read(written, grid, noise, rng)
+            sensed = margin_sense(volts, grid)
+            if parity_ok(sensed):
+                continue
+            d_soft = l1(volts, grid, soft_correct(volts, sensed, grid, book))
+            ow, d_full = brute_nearest(volts, grid)
+            assert d_full <= d_soft + 1e-12
+            if d_full < d_soft - 1e-12:
+                strict += 1
+                gap = abs(sum(ow) - int(sensed.sum()))
+                assert gap % 2 == 1 and gap != 1
+        # strict wins are possible but rare at this noise level
+        assert strict < 50
+
     def test_output_always_even_parity(self, grid, book):
         rng = RngStream(78)
         for _ in range(200):
@@ -247,7 +285,7 @@ class TestDecode:
             assert got == expect
         else:  # a near-tie: rounding may pick either word
             assert abs(sum(got) - int(margin_sense(volts, grid).sum())) == 1
-            assert _l1_distances(volts, grid, np.array([got]))[0] <= dist.min() + 1e-9
+            assert l1(volts, grid, got) <= dist.min() + 1e-9
 
     @pytest.mark.parametrize("offsets", [
         (0.0, 0.0, 0.0, 0.0),
@@ -283,20 +321,27 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(np.zeros((2, 3)), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reads(self, grid, bad):
+        volts = grid.levels[np.array([[0, 0, 0, 0], [1, 1, 0, 0]])].astype(float)
+        volts[1, 2] = bad
+        with pytest.raises(ValueError):
+            decode(volts, grid)
 
-class TestOracleNearest:
+
+class TestReadByte:
+    def test_zero_noise_roundtrip_all_bytes(self, grid, book):
+        for b in range(256):
+            volts = grid.l0 + grid.pitch * np.array(encode(b, book), dtype=float)
+            out = read_byte(volts, grid, book)
+            assert out.parity_passed and out.byte == b
+            assert out.sensed == out.word == encode(b, book)
+
     def test_exact_codeword_recovered(self, grid, book):
         volts = grid.levels[[2, 1, 1, 0]].astype(float)
-        word, dist = _oracle_nearest_with_distance(volts, grid, book)
-        assert word == (2, 1, 1, 0)
-        assert dist == pytest.approx(0.0, abs=1e-12)
-
-    def test_agrees_with_brute_force(self, grid, book):
-        rng = RngStream(79)
-        for _ in range(300):
-            volts = rng.gen.uniform(-1.0, grid.levels[-1] + 1.0, 4)
-            expect, _ = brute_nearest(volts, grid)
-            assert oracle_nearest(volts, grid, book) == expect
+        out = read_byte(volts, grid, book)
+        assert out.word == (2, 1, 1, 0)
+        assert l1(volts, grid, out.word) == pytest.approx(0.0, abs=1e-12)
 
     def test_small_deviations_recover_codeword(self, grid, book):
         rng = RngStream(80)
@@ -305,35 +350,7 @@ class TestOracleNearest:
             volts = grid.l0 + grid.pitch * w + rng.gen.uniform(
                 -0.49 * grid.pitch, 0.49 * grid.pitch, 4
             )
-            assert oracle_nearest(volts, grid, book) == tuple(int(x) for x in w)
-
-    def test_dominates_soft_correct(self, grid, book):
-        noise = NoiseModel(a=0.8, tail=1.0, width=0.2)
-        rng = RngStream(81)
-        strict = 0
-        for _ in range(500):
-            written = book.words[rng.gen.integers(0, len(book.words))]
-            volts = sample_read(written, grid, noise, rng)
-            sensed = margin_sense(volts, grid)
-            if parity_ok(sensed):
-                continue
-            d_soft = read_byte(volts, grid, book).decoder_distance
-            ow, d_oracle = _oracle_nearest_with_distance(volts, grid, book)
-            assert d_oracle <= d_soft + 1e-12
-            if d_oracle < d_soft - 1e-12:
-                strict += 1
-                gap = abs(sum(ow) - int(sensed.sum()))
-                assert gap % 2 == 1 and gap != 1
-        # strict wins are possible but rare at this noise level
-        assert strict < 50
-
-
-class TestReadByte:
-    def test_zero_noise_roundtrip_all_bytes(self, grid, book):
-        for b in range(256):
-            volts = grid.l0 + grid.pitch * np.array(encode(b, book), dtype=float)
-            out = read_byte(volts, grid, book)
-            assert out.parity_passed and out.byte == b and out.corrected is None
+            assert read_byte(volts, grid, book).word == tuple(int(x) for x in w)
 
     def test_type_ii_pattern_reported(self, grid, book):
         # overshoot past a full pitch: senses one level up, corrects two up
@@ -341,9 +358,10 @@ class TestReadByte:
         volts[0] = grid.l0 + 1.2 * grid.pitch
         out = read_byte(volts, grid, book)
         assert not out.parity_passed
-        assert out.corrected == (2, 0, 0, 0)
+        assert out.sensed == (1, 0, 0, 0)
+        assert out.word == (2, 0, 0, 0)
         assert out.byte == book.byte_for_word((2, 0, 0, 0))
-        assert out.decoder_distance == pytest.approx(0.8 * grid.pitch, abs=1e-12)
+        assert l1(volts, grid, out.word) == pytest.approx(0.8 * grid.pitch, abs=1e-12)
 
     def test_opposite_shift_pair_goes_undetected(self, grid, book):
         # write (1,1,0,0); read lands exactly on the levels of (0,2,0,0):
@@ -373,8 +391,16 @@ class TestReadByte:
         out = read_byte(volts, grid, book)
         assert out.parity_passed and out.word == (4, 4, 4, 4) and out.byte is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_out_read_senses_top_level(self, grid, book):
+        out = read_byte([1e19, 0.0, 0.0, 0.0], grid, book)
+        assert out.sensed == out.word == (4, 0, 0, 0)
+        assert out.parity_passed and out.byte == book.byte_for_word((4, 0, 0, 0))
+
     def test_rejects_bad_read_vector(self, grid, book):
         with pytest.raises(ValueError):
             read_byte([0.0, 1.0, np.nan, 2.0], grid, book)
+        with pytest.raises(ValueError):
+            read_byte([0.0, np.inf, 1.0, 2.0], grid, book)
         with pytest.raises(ValueError):
             read_byte([0.0, 1.0], grid, book)

@@ -43,9 +43,8 @@ def outcome(word, parity_passed):
     return DecodeOutcome(
         sensed=word if parity_passed else (0, 0, 0, 1),
         parity_passed=parity_passed,
-        corrected=None if parity_passed else word,
+        word=word,
         byte=None,
-        decoder_distance=None if parity_passed else 0.1,
     )
 
 
