@@ -18,7 +18,10 @@ with the smallest flip cost ``|t - (x +/- 1)| - |t - x|`` in pitch units,
 this is ``1 - 2 * |t - x|`` toward the nearer boundary and 1 away from it.
 
 ``decode`` is the one decoder, batched over words; ``read_byte`` and
-``soft_correct`` run it on a single word.
+``soft_correct`` run it on a single word.  It lays the moves of its k
+parity-failing rows out as (8, k) arrays, one row per move, because numpy
+gathers whole rows of a 2048-word chunk several times faster than it
+gathers or reduces within rows 4 or 8 wide.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ def enumerate_codewords(n_levels: int) -> np.ndarray:
 
 
 def parity_ok(symbols) -> bool:
-    """True iff the symbol sum is even."""
+    """True iff the symbol sum is even; the symbols must be integers."""
     s = np.asarray(symbols)
     if s.shape != (N_CELLS,):
         raise ValueError(f"expected {N_CELLS} symbols, got shape {s.shape}")
+    if not all(float(x).is_integer() for x in s.tolist()):  # False for NaN and +-inf
+        raise ValueError(f"symbols must be finite integers, got {s.tolist()}")
     return int(s.sum()) % 2 == 0
 
 
@@ -108,6 +113,17 @@ def encode(byte: int, book: CodeBook) -> tuple:
     return tuple(book.words[byte].tolist())
 
 
+def _sense(v: np.ndarray, grid: LevelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(t, levels) of float reads ``v``: the reads in pitch units above
+    l0, and ``margin_sense``'s levels as floats."""
+    if not np.isfinite(v).all():
+        raise ValueError("reads must be finite voltages")
+    t = (v - grid.l0) / grid.pitch
+    # clamp before the cast, which would overflow far outside the grid;
+    # np.clip costs several times more than this on one 4-cell word
+    return t, np.minimum(np.maximum(np.ceil(t - 0.5), 0), grid.n_levels - 1)
+
+
 def margin_sense(read, grid: LevelGrid):
     """Hard-read each cell: round (V - l0) / pitch to the nearest level.
 
@@ -115,14 +131,7 @@ def margin_sense(read, grid: LevelGrid):
     into the valid level range, as a physical sense amp cannot report a
     nonexistent level.  NaN and infinite reads are rejected.
     """
-    v = np.asarray(read, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError("reads must be finite voltages")
-    t = (v - grid.l0) / grid.pitch
-    # clamp before the cast, which would overflow far outside the grid;
-    # np.clip costs several times more than this on one 4-cell word
-    sensed = np.minimum(np.maximum(np.ceil(t - 0.5), 0), grid.n_levels - 1)
-    return sensed.astype(np.int64)
+    return _sense(np.asarray(read, dtype=float), grid)[1].astype(np.int64)
 
 
 # The 8 one-level moves: down on cells 0..3, then up on cells 3..0.  Applied
@@ -130,6 +139,8 @@ def margin_sense(read, grid: LevelGrid):
 # minimum-cost move is the lexicographically lowest nearest codeword.
 _MOVE_CELL = np.array([0, 1, 2, 3, 3, 2, 1, 0])
 _MOVE_STEP = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
+_STEP_COLUMN = _MOVE_STEP[:, None].astype(float)  # keeps the move costs all-float
+_ONES = np.ones(N_CELLS, dtype=np.int64)
 
 
 def decode(reads, grid: LevelGrid):
@@ -144,18 +155,19 @@ def decode(reads, grid: LevelGrid):
     v = np.asarray(reads, dtype=float)
     if v.ndim != 2 or v.shape[1] != N_CELLS:
         raise ValueError(f"reads must have shape (m, {N_CELLS}), got {v.shape}")
-    sensed = margin_sense(v, grid)
-    passed = sensed.sum(axis=1) % 2 == 0
+    t, levels = _sense(v, grid)
+    sensed = levels.astype(np.int64)
+    passed = (sensed @ _ONES & 1) == 0
     decoded = sensed.copy()
     if not passed.all():  # spares read_byte's common parity-pass case
         fail = np.flatnonzero(~passed)
-        t = ((v[fail] - grid.l0) / grid.pitch)[:, _MOVE_CELL]
-        s = sensed[fail][:, _MOVE_CELL]
-        moved = s + _MOVE_STEP
-        cost = np.abs(t - moved) - np.abs(t - s)
-        cost[(moved < 0) | (moved >= grid.n_levels)] = np.inf
-        best = cost.argmin(axis=1)
-        decoded[fail, _MOVE_CELL[best]] += _MOVE_STEP[best]
+        tf = t.take(fail, axis=0).T.take(_MOVE_CELL, axis=0)
+        sf = levels.take(fail, axis=0).T.take(_MOVE_CELL, axis=0)
+        moved = sf + _STEP_COLUMN
+        cost = np.abs(tf - moved) - np.abs(tf - sf)
+        cost = np.where((moved < 0) | (moved >= grid.n_levels), np.inf, cost)
+        best = cost.argmin(axis=0)  # the first cheapest move
+        decoded.ravel()[fail * N_CELLS + _MOVE_CELL[best]] += _MOVE_STEP[best]
     return sensed, decoded, passed
 
 

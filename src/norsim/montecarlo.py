@@ -93,9 +93,10 @@ __all__ = [
     "estimate_to_dict",
 ]
 
-# Words drawn and decoded per chunk.  A chunk's decode temporaries take
-# ~500 B per word; in a process running 30 simulate calls, peak memory
-# measured 40.6 MB at 2^11, 42.9-44.9 MB at 2^12 and 48.0-48.9 MB at 2^13.
+# Words drawn and decoded per chunk.  A chunk's temporaries peak at
+# 550-600 B per word (tracemalloc); in a process running 30 simulate calls
+# of a bench workload, peak RSS measured 38.2-39.0 MB at 2^11, 39.5-41.1 MB
+# at 2^12 and 43.1-43.7 MB at 2^13.
 _CHUNK = 1 << 11
 
 _Z95 = 1.959963984540054
@@ -226,24 +227,16 @@ def _classify(written, decoded, parity_passed, protected: bool = True) -> np.nda
 
     Unprotected decodes have no parity check, so every error is OTHER.
     """
-    diff = decoded - written
-    err = (diff != 0).any(axis=1)
-    cls = np.zeros(len(written), dtype=np.int8)
+    # cells along axis 0, so each reduction runs over whole rows of words
+    diff = (decoded - written).T.copy()
+    nz = (diff != 0).sum(axis=0)
+    err = nz > 0
     if not protected:
-        cls[err] = 4
-        return cls
-    cls[err & parity_passed] = 1
-    corrected = err & ~parity_passed
-    nz = (diff != 0).sum(axis=1)
-    dmax = diff.max(axis=1)
-    dmin = diff.min(axis=1)
-    absmax = np.maximum(dmax, -dmin)
-    is_ii = corrected & (nz == 1) & (absmax == 2)
-    is_iii = corrected & (nz == 2) & (dmax == 1) & (dmin == -1)
-    cls[is_ii] = 2
-    cls[is_iii] = 3
-    cls[corrected & ~is_ii & ~is_iii] = 4
-    return cls
+        return err * 4
+    dmax, dmin = diff.max(axis=0), diff.min(axis=0)
+    is_ii = (nz == 1) & (np.maximum(dmax, -dmin) == 2)
+    is_iii = (nz == 2) & (dmax == 1) & (dmin == -1)
+    return err * np.where(parity_passed, 1, 4 - 2 * is_ii - is_iii)
 
 
 def _data_pool(config: SimConfig) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
@@ -336,8 +329,8 @@ def _count(written, reads, grid: LevelGrid, byte_of: np.ndarray | None) -> np.nd
         _, decoded, passed = decode(reads, grid)
     # only the few wrong rows are classified and counted in bits
     bad = _any_rows(decoded != written)
-    written, decoded = written[bad], decoded[bad]
-    passed = None if passed is None else passed[bad]
+    written, decoded = written.take(bad, axis=0), decoded.take(bad, axis=0)
+    passed = None if passed is None else passed.take(bad)
     counts = np.zeros(6, dtype=np.int64)
     counts[:5] = np.bincount(_classify(written, decoded, passed, passed is not None), minlength=5)
     counts[0] += len(reads) - len(bad)
@@ -378,18 +371,22 @@ def _tally(config: SimConfig, tasks):
         counts[0] = n - n_hit
         for lo in range(0, n_hit, _CHUNK):
             m = min(_CHUNK, n_hit - lo)
-            states = _STATES[np.searchsorted(cdf, gen.random(m), side="right")]
+            rows = np.searchsorted(cdf, gen.random(m), side="right")
+            states = _STATES.take(rows, axis=0).ravel()  # cell states in C order
             if pool is None:
                 written = gen.integers(low, high, (m, N_CELLS))
             else:
                 written = pool.take(gen.integers(0, len(pool), m), axis=0)
-            u = np.empty((m, N_CELLS))
-            interior = states == 0
-            u[interior] = gen.random(np.count_nonzero(interior))
-            for state in (1, 2):
-                cells = states == state
-                u[cells] = _lattice_u(gen, np.count_nonzero(cells), t, reaching=state == 2)
-            v = _read_offsets(~interior, u, noise)
+            # one value uniform per cell: the interior cells' draws, then the
+            # quiet and the reaching tail cells', each in C order
+            n_state = np.bincount(states, minlength=3)
+            u = np.empty(m * N_CELLS)
+            u[states.argsort(kind="stable")] = np.concatenate((
+                gen.random(n_state[0]),
+                _lattice_u(gen, n_state[1], t, reaching=False),
+                _lattice_u(gen, n_state[2], t, reaching=True),
+            ))
+            v = _read_offsets(states != 0, u, noise).reshape(m, N_CELLS)
             v += grid.l0 + grid.pitch * written
             counts += _count(written, v, grid, byte_of)
         yield counts

@@ -69,6 +69,40 @@ def decode_one(volts, grid):
     return tuple(decoded[0].tolist())
 
 
+def reference_decode(reads, grid):
+    """``decode`` as of norsim 0.6.0, kept frozen: the 8 one-level moves of
+    each failing row laid out along the last axis of a (k, 8) array, and
+    the first cheapest one picked by argmin."""
+    v = np.asarray(reads, dtype=float)
+    sensed = margin_sense(v, grid)
+    passed = sensed.sum(axis=1) % 2 == 0
+    decoded = sensed.copy()
+    if not passed.all():
+        move_cell = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+        move_step = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
+        fail = np.flatnonzero(~passed)
+        t = ((v[fail] - grid.l0) / grid.pitch)[:, move_cell]
+        s = sensed[fail][:, move_cell]
+        moved = s + move_step
+        cost = np.abs(t - moved) - np.abs(t - s)
+        cost[(moved < 0) | (moved >= grid.n_levels)] = np.inf
+        best = cost.argmin(axis=1)
+        decoded[fail, move_cell[best]] += move_step[best]
+    return sensed, decoded, passed
+
+
+def wild_reads(grid, m, rng):
+    """m reads in pitch units around the grid: a quarter of the cells on
+    exact half-pitch points, a fiftieth far outside the grid."""
+    n = grid.n_levels
+    t = rng.uniform(-3.0, n + 2.0, (m, 4))
+    ties = rng.random((m, 4)) < 0.25
+    t[ties] = np.floor(t[ties]) + 0.5
+    far = rng.random((m, 4)) < 0.02
+    t[far] = rng.choice([-1e6, -40.0, n + 40.0, 1e6, 1e17], far.sum())
+    return grid.l0 + grid.pitch * t
+
+
 # Grids whose pitch is a power of two: reads on a 1/32-pitch lattice then
 # make every distance exact in binary, so exact ties are exercised too.
 DYADIC_GRIDS = (
@@ -117,6 +151,21 @@ class TestParity:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             parity_ok((1, 2, 3))
+
+    def test_integral_floats_accepted(self):
+        assert parity_ok((1.0, 1.0, 0.0, 0.0))
+        assert not parity_ok(np.array([2.0, 2.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("symbols", [
+        (0.3, 0.3, 0.0, 0.0),  # sums to an even integer after truncation
+        (1.5, 0.5, 0.0, 0.0),
+        (np.nan, 0.0, 0.0, 0.0),
+        (np.inf, 1.0, 0.0, 0.0),
+        (-np.inf, 0.0, 0.0, 0.0),
+    ])
+    def test_non_integral_symbols_rejected(self, symbols):
+        with pytest.raises(ValueError, match="finite integers"):
+            parity_ok(symbols)
 
 
 class TestEncode:
@@ -327,6 +376,49 @@ class TestDecode:
         volts[1, 2] = bad
         with pytest.raises(ValueError):
             decode(volts, grid)
+
+
+class TestBatchDecode:
+    """``decode`` on whole batches is bit-identical to the frozen 0.6.0
+    decoder and to decoding row by row, with passing and failing rows mixed."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("width, l0", [(0.0, 0.0), (0.25, -3.0), (1.0, 0.7)])
+    def test_matches_reference(self, n_levels, width, l0):
+        grid = LevelGrid(n_levels, 0.75, width, l0)
+        rng = np.random.default_rng(1000 * n_levels + int(8 * width))
+        for m in (0, 1, 2, 7, 2048, 2500):
+            reads = wild_reads(grid, m, rng)
+            got = decode(reads, grid)
+            self.assert_same(got, reference_decode(reads, grid))
+            if m >= 2048:
+                assert 0 < got[2].sum() < m  # passing and failing rows both occur
+
+    @pytest.mark.parametrize("n_levels", [2, 5, 7])
+    def test_matches_row_by_row(self, n_levels):
+        grid = LevelGrid(n_levels, 0.75, 0.25)
+        reads = wild_reads(grid, 600, np.random.default_rng(n_levels))
+        sensed, decoded, passed = decode(reads, grid)
+        for i in range(len(reads)):
+            row = decode(reads[i : i + 1], grid)
+            self.assert_same(row, (sensed[i : i + 1], decoded[i : i + 1], passed[i : i + 1]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reads_beyond_float_range_in_pitches(self):
+        # reads whose pitch-unit value overflows to +-inf give NaN move
+        # costs; the first such move wins, as under argmin
+        grid = LevelGrid(5, 1e-300, 0.0, 0.0)
+        reads = np.array([
+            [1e10, 1e-300, 0.0, 0.0], [1e-300, 1e10, 0.0, 0.0], [0.0, 0.0, 1e-300, -1e10],
+            [1e10, -1e10, 1e-300, 0.0], [3e-300, 1e-300, 2.4e-300, 1e10],
+        ])
+        self.assert_same(decode(reads, grid), reference_decode(reads, grid))
 
 
 class TestReadByte:

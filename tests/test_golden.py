@@ -8,7 +8,18 @@ these numbers on purpose must say so in CHANGES.md and update them.
 
 import pytest
 
-from norsim.montecarlo import SimConfig, run_stratified, run_trials
+from norsim.montecarlo import (
+    _LATTICE,
+    _STATES,
+    SimConfig,
+    _reach_threshold,
+    _row_law,
+    _stratum_weights,
+    run_stratified,
+    run_trials,
+)
+
+THREE_STATES = dict(a=1.0, tail=0.1, width=4.6, delta0=4.6, trials=1 << 16, seed=17, shards=2)
 
 PLAIN = {
     "protected_uniform_2_shards": (
@@ -33,6 +44,30 @@ PLAIN = {
                 "other": 7353,
             },
             ci95=(0.09530258475310847, 0.09644679223105317),
+        ),
+    ),
+    # 0 < tail < 1 and width > 0: interior, quiet tail and reaching tail
+    # cells occur in one word (test_three_state_words_occur)
+    "protected_three_states_2_shards": (
+        THREE_STATES,
+        dict(
+            events=214,
+            hamming=757,
+            per_class={
+                "none": 65322, "type_i": 19, "type_ii": 0, "type_iii": 95, "other": 100,
+            },
+            ci95=(0.0003570946436803957, 0.00046652929484412804),
+        ),
+    ),
+    "unprotected_three_states_2_shards": (
+        dict(THREE_STATES, protected=False),
+        dict(
+            events=206,
+            hamming=273,
+            per_class={
+                "none": 65330, "type_i": 0, "type_ii": 0, "type_iii": 0, "other": 206,
+            },
+            ci95=(0.00034286129968596416, 0.0004502468494273718),
         ),
     ),
     "unprotected_interior_3_shards": (
@@ -60,6 +95,18 @@ def test_plain_run_is_pinned(name):
     assert est.bit_errors_hamming == want["hamming"]
     assert est.per_class == want["per_class"]
     assert est.ci95 == want["ci95"]
+
+
+@pytest.mark.parametrize("protected", [True, False])
+def test_three_state_words_occur(protected):
+    # the sampler scatters each cell state's value uniforms in turn, so
+    # this point pins words that mix all three states
+    config = SimConfig(**dict(THREE_STATES, protected=protected))
+    c = (_LATTICE - 1 - _reach_threshold(config)) * 2.0**-52
+    pi, probs = _row_law(_stratum_weights(config.tail), c)
+    mixed = [set(row) == {0, 1, 2} for row in _STATES.tolist()]
+    assert 0.0 < c < 1.0
+    assert probs[mixed].sum() * pi * config.trials > 10
 
 
 def test_stratified_run_is_pinned():
