@@ -8,48 +8,9 @@ closed-form error-rate estimates for exponential read-noise tails, a
 Monte Carlo engine with tail-stratified rare-event sampling, and a CLI.
 """
 
-from .channel import (
-    LevelGrid,
-    NoiseModel,
-    RngStream,
-    derive_5level_margin,
-    five_level_grid,
-    four_level_grid,
-    read_density,
-    sample_read,
-    sample_read_conditioned,
-)
-from .codec import (
-    CodeBook,
-    DecodeOutcome,
-    decode,
-    encode,
-    enumerate_codewords,
-    margin_sense,
-    parity_ok,
-    read_byte,
-    soft_correct,
-)
-from .analytic import (
-    ChannelPoint,
-    ErrorBudget,
-    baseline_approximation,
-    baseline_rates,
-    capacity,
-    crosspolytope_word_bound,
-    protected_rates,
-    ratio_approximation,
-    regime_approximations,
-    table1,
-)
-from .montecarlo import (
-    BerEstimate,
-    ErrorClass,
-    SimConfig,
-    classify_error,
-    confidence_interval,
-    run_stratified,
-    run_trials,
-)
+from .channel import *  # noqa: F401,F403
+from .codec import *  # noqa: F401,F403
+from .analytic import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
 
 __version__ = "0.6.0"

@@ -97,8 +97,9 @@ class LevelGrid:
 
     def level_voltage(self, level_index):
         idx = np.asarray(level_index)
-        if np.any(idx < 0) or np.any(idx >= self.n_levels):
-            raise ValueError(f"level index out of range 0..{self.n_levels - 1}")
+        # NaN fails every comparison, so it is rejected with the fractions
+        if not ((idx >= 0) & (idx < self.n_levels) & (np.floor(idx) == idx)).all():
+            raise ValueError(f"level index must be a whole number in 0..{self.n_levels - 1}")
         out = self.l0 + self.pitch * idx
         return float(out) if np.ndim(level_index) == 0 else out
 

@@ -36,7 +36,6 @@ from . import __version__
 from .analytic import (
     ChannelPoint,
     baseline_approximation,
-    baseline_rates,
     fit_loglog_slope,
     protected_rates,
     ratio_approximation,
@@ -236,7 +235,7 @@ def _table1_lines(results: dict) -> list[str]:
 def cmd_analytic(args) -> dict:
     ad0, aw, tail = _resolve_point(args)
     point = ChannelPoint(a_delta0=ad0, a_w=aw, tail=tail)
-    budget = protected_rates(point)
+    protected = asdict(protected_rates(point))
     e2_tail, e2_swap = regime_approximations(point)
     if tail == 0.0:
         regime = "noiseless"
@@ -252,17 +251,11 @@ def cmd_analytic(args) -> dict:
             "a_delta": point.a_delta,
         },
         "baseline": {
-            "p0": budget.p0,
-            "e0": budget.e0,
+            "p0": protected.pop("p0"),
+            "e0": protected.pop("e0"),
             "e0_approx": baseline_approximation(point),
         },
-        "protected": {
-            "e2_i": budget.e2_i,
-            "e2_ii": budget.e2_ii,
-            "e2_iii": budget.e2_iii,
-            "e2_total": budget.e2_total,
-            "ratio": budget.ratio,
-        },
+        "protected": protected,
         "approximations": {
             "ratio_width_like_margin": ratio_approximation(point),
             "e2_tail_dominated": e2_tail,
@@ -327,17 +320,15 @@ def cmd_simulate(args) -> dict:
     config = _sim_config(args, ad0, aw, tail)
     est = _estimate(config)
     doc = estimate_to_dict(est, config)
-    point = ChannelPoint(a_delta0=ad0, a_w=aw, tail=tail)
+    budget = protected_rates(ChannelPoint(a_delta0=ad0, a_w=aw, tail=tail))
     nbits = est.trials * BITS_PER_WORD
     if config.protected:
-        budget = protected_rates(point)
         doc["analytic"] = {f: getattr(budget, f) for f in _BUDGET_FIELDS.values()}
         analytic = {c: getattr(budget, f) for c, f in _BUDGET_FIELDS.items()}
         rates = {c: n / nbits for c, n in est.per_class.items() if c != "none"}
     else:
-        p0, e0 = baseline_rates(point)
-        analytic = {"total": e0}
-        doc["analytic"] = {"p0": p0, "e0": e0}
+        analytic = {"total": budget.e0}
+        doc["analytic"] = {"p0": budget.p0, "e0": budget.e0}
         rates = {}
     rates["total"] = est.event_rate_per_bit
     doc["empirical_rates"] = rates

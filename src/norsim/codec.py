@@ -108,9 +108,12 @@ def encode(byte: int, book: CodeBook) -> tuple:
     """Map a byte to its codeword (lexicographic rank = byte value)."""
     if not 0 <= byte <= 255:
         raise ValueError(f"byte out of range: {byte}")
+    # a bool would index words as a mask, a fraction not at all
+    if isinstance(byte, (bool, np.bool_)) or not float(byte).is_integer():
+        raise ValueError(f"byte must be a whole number, got {byte!r}")
     if len(book.words) < 256:
         raise ValueError(f"codebook has only {len(book.words)} words; cannot map all bytes")
-    return tuple(book.words[byte].tolist())
+    return tuple(book.words[int(byte)].tolist())
 
 
 def _sense(v: np.ndarray, grid: LevelGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -149,16 +149,17 @@ class SimConfig:
     subtrials_per_stratum: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a count must fit numpy's int64, as Generator.binomial's n does
+        for name in ("trials", "subtrials_per_stratum"):
+            n = getattr(self, name)
+            if n is not None and not 1 <= n <= np.iinfo(np.int64).max:
+                raise ValueError(f"{name} must be in [1, 2**63 - 1], got {n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.data_mode not in ("uniform", "interior"):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
-        if self.subtrials_per_stratum is not None and self.subtrials_per_stratum < 1:
-            raise ValueError("subtrials_per_stratum must be >= 1")
         if self.stratified and self.tail == 0.0:
             raise ValueError("tail must be > 0 in a stratified run, which simulates tail cells")
         self.noise()

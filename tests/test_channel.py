@@ -102,6 +102,30 @@ class TestGrids:
         with pytest.raises(ValueError):
             grid.level_voltage(4)
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.5, math.inf, [1, 2.5], [0, math.nan]])
+    def test_level_voltage_rejects_nan_and_fractions(self, bad):
+        grid = LevelGrid(n_levels=4, margin=1.0)
+        with pytest.raises(ValueError, match="whole number in 0..3"):
+            grid.level_voltage(bad)
+
+    def test_level_voltage_takes_integral_floats(self):
+        grid = LevelGrid(n_levels=4, margin=1.0, width=0.5)
+        assert grid.level_voltage(2.0) == grid.level_voltage(2) == 3.0
+        assert np.array_equal(grid.level_voltage(np.array([0.0, 3.0])), [0.0, 4.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5])
+    def test_samplers_and_density_reject_non_levels(self, bad):
+        grid = LevelGrid(n_levels=4, margin=1.0, width=0.5)
+        noise = NoiseModel(a=1.0, tail=0.1, width=0.5)
+        with pytest.raises(ValueError, match="whole number"):
+            sample_read(bad, grid, noise, RngStream(0))
+        with pytest.raises(ValueError, match="whole number"):
+            sample_read(np.array([1.0, bad]), grid, noise, RngStream(0))
+        with pytest.raises(ValueError, match="whole number"):
+            sample_read_conditioned(bad, grid, noise, True, RngStream(0))
+        with pytest.raises(ValueError, match="whole number"):
+            read_density(1.0, bad, grid, noise)
+
 
 class TestReadDensity:
     def test_interior_value(self):

@@ -549,6 +549,33 @@ def test_readme_library_table_names_exist():
         assert [n for n in names if not hasattr(mod, n)] == [], module
 
 
+def test_package_reexports_every_module_all():
+    from norsim import analytic, channel, codec, montecarlo
+
+    modules = (channel, codec, analytic, montecarlo)
+    public = {n: v for n, v in vars(norsim).items() if not n.startswith("_")}
+    submodules = {n for n, v in public.items() if isinstance(v, type(norsim))}
+    assert {"channel", "codec", "analytic", "montecarlo"} <= submodules
+    assert all(public[n].__name__ == f"norsim.{n}" for n in submodules)
+    assert public.keys() - submodules == {n for m in modules for n in m.__all__}
+    for m in modules:
+        assert [n for n in m.__all__ if getattr(norsim, n) is not getattr(m, n)] == []
+    assert isinstance(norsim.__version__, str)
+
+
+def test_package_exports_names_it_once_left_out():
+    from norsim import (  # noqa: F401
+        TABLE1_EXP_MARGINS,
+        TABLE1_TAILS,
+        StratumResult,
+        Table1Row,
+        estimate_to_dict,
+        fit_loglog_slope,
+        scaling_sweep,
+        variance_reduction_factor,
+    )
+
+
 def test_cli_import_leaves_out_thread_pools():
     # the engine runs its tasks serially, so a fresh process need not pay
     # for importing concurrent.futures

@@ -1,5 +1,6 @@
 """Codec: enumeration, byte mapping, margin sensing, soft correction."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -201,6 +202,15 @@ class TestEncode:
     def test_byte_range_checked(self, book):
         with pytest.raises(ValueError):
             encode(256, book)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 3.5, 0.25, np.float64(254.5)])
+    def test_bools_and_fractions_rejected(self, book, bad):
+        # a bool indexed the codewords as a mask, a fraction raised IndexError
+        with pytest.raises(ValueError, match=re.escape(f"whole number, got {bad!r}")):
+            encode(bad, book)
+
+    def test_integral_floats_map_like_ints(self, book):
+        assert encode(5.0, book) == encode(np.float64(5.0), book) == encode(5, book)
 
 
 class TestMarginSense:

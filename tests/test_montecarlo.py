@@ -240,6 +240,16 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="tail"):
             SimConfig(a=1.0, tail=0.0, width=0.5, delta0=3.0, stratified=True)
 
+    def test_counts_past_int64_rejected(self):
+        base = dict(a=1.0, tail=1e-9, width=0.0, delta0=40.0)
+        with pytest.raises(ValueError, match=r"^trials must be in \[1, 2\*\*63 - 1\]"):
+            SimConfig(trials=2**63, **base)
+        with pytest.raises(ValueError, match=r"^subtrials_per_stratum must be in"):
+            SimConfig(stratified=True, subtrials_per_stratum=2**63, **base)
+        # the largest count still runs: no word at this point reaches
+        est = run_trials(SimConfig(trials=2**63 - 1, **base))
+        assert est.trials == 2**63 - 1 and est.word_error_events == 0
+
 
 class TestStratified:
     BASE = dict(a=1.0, tail=0.1, width=1.0, delta0=4.0, protected=True)
