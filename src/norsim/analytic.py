@@ -195,13 +195,12 @@ def scaling_sweep(
 
 
 def fit_loglog_slope(e0s, e2s) -> float | None:
-    """Least-squares slope of log(e2) vs log(e0); None for fewer than 2
-    distinct e0 values, where no line is determined."""
+    """Least-squares slope of log(e2) vs log(e0), or None where no line is
+    determined: a rate that is not positive (an underflowing closed form, a
+    simulated point with no event, NaN) or fewer than 2 distinct e0 values."""
     e0s = np.asarray(e0s, dtype=float)
     e2s = np.asarray(e2s, dtype=float)
-    if np.unique(e0s).size < 2:
+    if not ((e0s > 0.0).all() and (e2s > 0.0).all()) or np.unique(e0s).size < 2:
         return None
-    if np.any(e0s <= 0.0) or np.any(e2s <= 0.0):
-        raise ValueError("slope fit requires positive rates")
     slope = np.polyfit(np.log(e0s), np.log(e2s), 1)[0]
     return float(slope)

@@ -37,6 +37,13 @@ def _require_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a bool, a fraction, NaN or ±inf (x % 1 is NaN) is refused."""
+    if isinstance(value, (bool, np.bool_)) or value % 1 != 0:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Read-voltage law around each program level.
@@ -76,6 +83,7 @@ class LevelGrid:
 
     def __post_init__(self):
         _require_finite(margin=self.margin, width=self.width, l0=self.l0)
+        object.__setattr__(self, "n_levels", _whole_number("n_levels", self.n_levels))
         if self.n_levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.n_levels}")
         if not self.margin > 0.0:

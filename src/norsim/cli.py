@@ -8,9 +8,8 @@ table1     render the reference operating table (display mimics the
 analytic   evaluate the closed-form error budget at one operating point
 simulate   run the Monte Carlo engine (plain or tail-stratified)
 sweep      scan a*delta0 values, report (E0, E2) series and the fitted
-           log-log slope of each E2 series against E0, null unless every
-           rate of the fit is positive (a closed form underflows at large
-           a*delta0, a simulated point can see no event)
+           log-log slope of each E2 series against E0, null where
+           analytic.fit_loglog_slope determines no line
 roundtrip  exhaustive codec self-test
 
 Every result document embeds a run manifest (command, parameters, tool
@@ -46,7 +45,7 @@ from .analytic import (
 from .codec import (
     BITS_PER_WORD, N_CELLS, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
 )
-from .channel import five_level_grid
+from .channel import _whole_number, five_level_grid
 from .montecarlo import (
     SimConfig,
     estimate_to_dict,
@@ -122,10 +121,9 @@ def _whole(minimum: int, maximum: float = math.inf):
             val = int(text)
         except ValueError:
             try:
-                val = float(text)
+                val = _whole_number("value", float(text))
             except ValueError:
-                val = math.nan
-            val = int(val) if val.is_integer() else None
+                val = None
         if val is None or not minimum <= val <= maximum:
             raise argparse.ArgumentTypeError(f"must be a whole number {bounds}, got {text!r}")
         return val
@@ -274,20 +272,15 @@ def _analytic_lines(results: dict) -> list[str]:
     return lines
 
 
-# simulation flag -> SimConfig field; a flag not given keeps the field's default
-_SIM_FIELDS = {
-    "protected": "protected",
-    "trials": "trials",
-    "seed": "seed",
-    "shards": "shards",
-    "stratified": "stratified",
-    "data_mode": "data_mode",
-    "subtrials": "subtrials_per_stratum",
-}
+# the simulation flags, each named as its SimConfig field but --subtrials;
+# a flag not given keeps the field's default
+_SIM_FLAGS = ("protected", "trials", "seed", "shards", "stratified", "data_mode", "subtrials")
 
 
 def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
-    given = {f: getattr(args, k) for k, f in _SIM_FIELDS.items() if hasattr(args, k)}
+    given = {k: getattr(args, k) for k in _SIM_FLAGS if hasattr(args, k)}
+    if "subtrials" in given:
+        given["subtrials_per_stratum"] = given.pop("subtrials")
     if given.get("stratified"):
         # each stratum is one stream of --subtrials words, or --trials / 4
         if "shards" in given:
@@ -333,13 +326,9 @@ def cmd_simulate(args) -> dict:
     rates["total"] = est.event_rate_per_bit
     doc["empirical_rates"] = rates
     doc["empirical_over_analytic"] = {
-        c: _safe_ratio(rates[c], a) for c, a in analytic.items()
+        c: rates[c] / a if a > 0.0 else None for c, a in analytic.items()
     }
     return doc
-
-
-def _safe_ratio(num: float, den: float) -> float | None:
-    return num / den if den > 0.0 else None
 
 
 def _simulate_lines(results: dict) -> list[str]:
@@ -367,7 +356,7 @@ def cmd_sweep(args) -> dict:
         raise ValueError("empty sweep grid")
     mode = getattr(args, "mode", "analytic")
     # the closed forms use no simulation flag
-    unused = [k for k in _SIM_FIELDS if hasattr(args, k)] if mode == "analytic" else []
+    unused = [k for k in _SIM_FLAGS if hasattr(args, k)] if mode == "analytic" else []
     if unused:
         flag = unused[0].replace("_", "-")
         raise ValueError(f"--{flag} applies only to a simulated sweep (--mode simulate or both)")
@@ -379,24 +368,15 @@ def cmd_sweep(args) -> dict:
         rows.append({"a_delta0": ad0, "e0": float(e0), "e2_analytic": float(e2)})
     slopes = {}
     if mode != "simulate":
-        slopes["analytic"] = _slope(e0s, e2s)
+        slopes["analytic"] = fit_loglog_slope(e0s, e2s)
     if mode in ("simulate", "both"):
-        sim = []
         for row in rows:
             config = _sim_config(args, row["a_delta0"], aw, tail)
             est = _estimate(config)
             row["e2_simulated"] = est.event_rate_per_bit
             row["ci95_lo"], row["ci95_hi"] = est.ci95
-            sim.append(est.event_rate_per_bit)
-        slopes["simulated"] = _slope(e0s, sim)
+        slopes["simulated"] = fit_loglog_slope(e0s, [row["e2_simulated"] for row in rows])
     return {"rows": rows, "slopes": slopes}
-
-
-def _slope(e0s, rates) -> float | None:
-    """The fitted log-log slope of rates against e0, or None unless every
-    rate is positive: a closed form can underflow to 0, and a simulated
-    point can see no event."""
-    return fit_loglog_slope(e0s, rates) if all(r > 0 for r in (*e0s, *rates)) else None
 
 
 def _sweep_lines(results: dict) -> list[str]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LevelGrid
+from .channel import LevelGrid, _whole_number
 
 __all__ = [
     "CodeBook",
@@ -108,12 +108,10 @@ def encode(byte: int, book: CodeBook) -> tuple:
     """Map a byte to its codeword (lexicographic rank = byte value)."""
     if not 0 <= byte <= 255:
         raise ValueError(f"byte out of range: {byte}")
-    # a bool would index words as a mask, a fraction not at all
-    if isinstance(byte, (bool, np.bool_)) or not float(byte).is_integer():
-        raise ValueError(f"byte must be a whole number, got {byte!r}")
+    byte = _whole_number("byte", byte)
     if len(book.words) < 256:
         raise ValueError(f"codebook has only {len(book.words)} words; cannot map all bytes")
-    return tuple(book.words[int(byte)].tolist())
+    return tuple(book.words[byte].tolist())
 
 
 def _sense(v: np.ndarray, grid: LevelGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -75,6 +75,7 @@ from .channel import (
     NoiseModel,
     RngStream,
     _read_offsets,
+    _whole_number,
     five_level_grid,
     four_level_grid,
 )
@@ -149,19 +150,23 @@ class SimConfig:
     subtrials_per_stratum: int | None = None
 
     def __post_init__(self):
-        # a count must fit numpy's int64, as Generator.binomial's n does
-        for name in ("trials", "subtrials_per_stratum"):
+        # counts and the seed are whole numbers; a count must fit numpy's
+        # int64, as Generator.binomial's n does
+        for name, low, high in (("trials", 1, 2**63 - 1), ("subtrials_per_stratum", 1, 2**63 - 1),
+                                ("seed", 0, math.inf), ("shards", 1, math.inf)):
             n = getattr(self, name)
-            if n is not None and not 1 <= n <= np.iinfo(np.int64).max:
-                raise ValueError(f"{name} must be in [1, 2**63 - 1], got {n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
+            if n is None:  # no subtrials_per_stratum
+                continue
+            if not low <= n <= high:
+                bounds = f">= {low}" if high == math.inf else f"in [{low}, 2**63 - 1]"
+                raise ValueError(f"{name} must be {bounds}, got {n}")
+            object.__setattr__(self, name, _whole_number(name, n))
         if self.data_mode not in ("uniform", "interior"):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.stratified and self.tail == 0.0:
             raise ValueError("tail must be > 0 in a stratified run, which simulates tail cells")
+        if self.stratified and not self.protected:
+            raise ValueError("stratified runs support the protected mode only")
         self.noise()
         self.grid()
 
@@ -452,8 +457,6 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     """
     if not config.stratified:
         raise ValueError("config.stratified is not set; use run_trials")
-    if not config.protected:
-        raise ValueError("stratified runs support the protected mode only")
     # k = 0 is never simulated: LevelGrid keeps margin > 0, so interior
     # reads (within width/2) can never cross a decision boundary
     weights = _stratum_weights(config.tail)

@@ -225,3 +225,11 @@ class TestScalingSweep:
     def test_single_point_has_no_slope(self):
         e0s, e2s = scaling_sweep([6.0])
         assert fit_loglog_slope(e0s, e2s) is None
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("series", [0, 1])
+    def test_non_positive_rate_has_no_slope(self, bad, series):
+        # a sweep's closed form underflows to 0, a simulated point sees no event
+        rates = scaling_sweep([5.0, 6.0, 7.0])
+        rates[series][1] = bad
+        assert fit_loglog_slope(*rates) is None

@@ -82,6 +82,16 @@ class TestGrids:
         with pytest.raises(ValueError):
             NoiseModel(a=1.0, tail=0.5, width=-1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(4.5), True, np.True_, math.nan, math.inf])
+    def test_level_count_must_be_whole(self, bad):
+        # 2.5 would give arange(2.5), three levels, against n_levels 2.5
+        with pytest.raises(ValueError, match="^n_levels must be a whole number"):
+            LevelGrid(n_levels=bad, margin=1.0)
+
+    def test_integral_float_level_count_is_an_int(self):
+        grid = LevelGrid(n_levels=5.0, margin=1.0)
+        assert type(grid.n_levels) is int and grid == LevelGrid(n_levels=5, margin=1.0)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError, match="^a must be finite"):

@@ -289,6 +289,12 @@ class TestSimulateCommand:
                               "--stratified", "--subtrials", "100")
         assert code == 2 and "tail" in err and "Traceback" not in err
 
+    def test_stratified_unprotected_is_param_error(self, capsys):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
+                              "--stratified", "--subtrials", "100", "--no-protected")
+        assert code == 2
+        assert err == "norsim: error: stratified runs support the protected mode only\n"
+
     def test_stratified_config_rejects_shards(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a-delta0 = 3\ntail = 0.1\nstratified = true\nshards = 3\n")

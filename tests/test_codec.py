@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from norsim.channel import LevelGrid, NoiseModel, RngStream, five_level_grid, sample_read
@@ -386,6 +386,73 @@ class TestDecode:
         volts[1, 2] = bad
         with pytest.raises(ValueError):
             decode(volts, grid)
+
+
+# even-sum words whose symbols avoid the outer levels 0 and 4
+INTERIOR_WORDS = [w for w in product(range(1, 4), repeat=4) if sum(w) % 2 == 0]
+
+
+class TestReflection:
+    """Reflect one cell's read about its written level: ``decode`` then
+    reflects that cell's decoded symbol and leaves the other cells and the
+    parity flag unchanged, since the even-sum lattice maps to itself and
+    sensing and the flip rule commute with the reflection.  It holds when
+    every sensed level, before and after, lies in 1..n-2 (an outer level
+    clamps, so its mirror image is not sensed) and, ties aside, as margin
+    sensing rounds a half-pitch read down and the flip rule breaks cost ties
+    in a fixed order."""
+
+    @staticmethod
+    def mirror(t, written, cell):
+        """Read positions ``t`` (pitch units above l0) with each row's
+        ``cell`` reflected about its written level."""
+        rows = np.arange(len(t))
+        out = t.copy()
+        out[rows, cell] = 2 * written[rows, cell] - t[rows, cell]
+        return out
+
+    @staticmethod
+    def decode_pair(t, mirrored, written, cell, grid):
+        """(interior, holds) per row: every sensed level of both reads in
+        1..n-2, and the identity holding."""
+        rows = np.arange(len(t))
+        sensed, decoded, passed = decode(grid.l0 + grid.pitch * t, grid)
+        m_sensed, m_decoded, m_passed = decode(grid.l0 + grid.pitch * mirrored, grid)
+        expect = decoded.copy()
+        expect[rows, cell] = 2 * written[rows, cell] - decoded[rows, cell]
+        inner = np.concatenate((sensed, m_sensed), axis=1)
+        interior = ((inner >= 1) & (inner <= grid.n_levels - 2)).all(axis=1)
+        holds = (m_decoded == expect).all(axis=1) & (m_passed == passed)
+        return interior, holds
+
+    def test_on_laplace_reads(self, grid):
+        rng = np.random.default_rng(1)
+        m = 1 << 16
+        written = np.array(INTERIOR_WORDS)[rng.integers(0, len(INTERIOR_WORDS), m)]
+        t = written + rng.laplace(0.0, 0.3, (m, 4))
+        cell = rng.integers(0, 4, m)
+        interior, holds = self.decode_pair(t, self.mirror(t, written, cell), written, cell, grid)
+        assert interior.mean() > 0.5 and holds[interior].all()
+        # outside the condition it fails: clamping at an outer level breaks it
+        assert not holds[~interior].all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.sampled_from(DYADIC_GRIDS),
+        written=st.sampled_from(INTERIOR_WORDS),
+        ticks=st.lists(st.integers(-320, 320), min_size=4, max_size=4),
+        cell=st.integers(0, 3),
+    )
+    def test_on_exact_lattice(self, grid, written, ticks, cell):
+        # reads 1/256 of a pitch apart, so that the reflection is exact
+        w = np.array([written])
+        t = w + np.array([ticks]) / 256.0
+        residual = np.abs(t - np.round(t))
+        # ties aside: no half-pitch read, and one cell farthest from its level
+        assume((residual < 0.5).all() and (residual == residual.max()).sum() == 1)
+        interior, holds = self.decode_pair(t, self.mirror(t, w, [cell]), w, [cell], grid)
+        assume(interior[0])
+        assert holds[0]
 
 
 class TestBatchDecode:

@@ -250,6 +250,23 @@ class TestRunTrials:
         est = run_trials(SimConfig(trials=2**63 - 1, **base))
         assert est.trials == 2**63 - 1 and est.word_error_events == 0
 
+    @pytest.mark.parametrize("name, bad", [
+        ("seed", 0.5), ("seed", np.float64(2.5)), ("seed", math.inf), ("trials", 1.5),
+        ("trials", True), ("shards", 1.5), ("shards", np.True_), ("subtrials_per_stratum", 2.5),
+    ])
+    def test_counts_and_seed_must_be_whole(self, name, bad):
+        # a fractional seed would run as its truncation, and range() refuses
+        # a fractional count
+        base = dict(a=1.0, tail=1.0, width=0.0, delta0=4.0, stratified=name.startswith("sub"))
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got"):
+            SimConfig(**{name: bad}, **base)
+
+    def test_integral_floats_run_as_ints(self):
+        base = dict(a=1.0, tail=1.0, width=0.0, delta0=4.0)
+        cfg = SimConfig(trials=20_000.0, seed=np.float64(3.0), shards=2.0, **base)
+        assert [type(v) for v in (cfg.trials, cfg.seed, cfg.shards)] == [int] * 3
+        assert run_trials(cfg) == run_trials(SimConfig(trials=20_000, seed=3, shards=2, **base))
+
 
 class TestStratified:
     BASE = dict(a=1.0, tail=0.1, width=1.0, delta0=4.0, protected=True)
@@ -303,10 +320,10 @@ class TestStratified:
         assert lo <= hi, (plain.ci95, strat.ci95)
 
     def test_unprotected_rejected(self):
-        cfg = SimConfig(a=1.0, tail=0.1, width=0.5, delta0=4.0, protected=False,
-                        trials=1, seed=15, stratified=True)
-        with pytest.raises(ValueError):
-            run_stratified(cfg)
+        # a run rule, so the config itself refuses it
+        with pytest.raises(ValueError, match="^stratified runs support the protected mode only$"):
+            SimConfig(a=1.0, tail=0.1, width=0.5, delta0=4.0, protected=False,
+                      trials=1, seed=15, stratified=True)
 
     def test_variance_reduction_at_small_tail(self):
         cfg = SimConfig(a=1.0, tail=1e-3, width=6.9, delta0=6.9, protected=True,
