@@ -34,7 +34,10 @@ One draw from Binomial(n, pi) gives the number of words with a
 reaching cell, every other word counts as NONE, and only those words are
 drawn, in chunks of 2^11.  Each chunk draws one uniform per word, which
 picks its row of cell states (interior, quiet tail, reaching tail) from
-``_row_law``, the 81-row law given a reaching cell; then the written
+``_row_law``, the 81-row law given a reaching cell, searching only the
+rows of positive mass (``_live_rows``, at most 28 rows in a stratum, 65 in
+a plain run): a row of zero mass is never picked, so the rows drawn are
+those of the full table.  Then the written
 words (one pool index per word, or one symbol per cell when
 unprotected); then one value uniform per interior cell; then one integer
 per quiet tail cell and one per reaching tail cell, which picks its K
@@ -44,7 +47,10 @@ among words drawn whole: their cells are independent given the tail
 mask, a tail cell's K is uniform on the lattice, and the written word is
 independent of both.  So the counts equal those of decoding every word
 in law, up to the float rounding of the row probabilities, and the work
-scales with n pi.
+scales with n pi.  Each chunk keeps only its wrong rows; they are
+classified and counted in bits in groups, once a chunk's worth has
+gathered and at the task's end, so a group holds fewer than 2^12 rows
+even when every word is wrong.
 
 When margin/2 <= slack, even interior reads can be sensed wrong.  Then
 T = -1: every tail cell reaches, its K spans the whole lattice, and all n
@@ -94,10 +100,11 @@ __all__ = [
     "estimate_to_dict",
 ]
 
-# Words drawn and decoded per chunk.  A chunk's temporaries peak at
-# 550-600 B per word (tracemalloc); in a process running 30 simulate calls
-# of a bench workload, peak RSS measured 38.2-39.0 MB at 2^11, 39.5-41.1 MB
-# at 2^12 and 43.1-43.7 MB at 2^13.
+# Words drawn and decoded per chunk, and the wrong rows that make a group
+# to classify: a group holds fewer than 2 _CHUNK rows.  A chunk's
+# temporaries peak at 550-600 B per word (tracemalloc); in a process
+# running 30 simulate calls of a bench workload, peak RSS measured
+# 38.2-39.0 MB at 2^11, 39.5-41.1 MB at 2^12 and 43.1-43.7 MB at 2^13.
 _CHUNK = 1 << 11
 
 _Z95 = 1.959963984540054
@@ -289,6 +296,8 @@ _N_TAIL = (_STATES > 0).sum(axis=1)
 _N_REACH = (_STATES == 2).sum(axis=1)
 _N_QUIET = _N_TAIL - _N_REACH
 _SUBSETS = np.array([float(math.comb(N_CELLS, j)) for j in _N_TAIL])
+# per row: its number of interior, quiet and reaching cells
+_STATE_COUNTS = np.stack((N_CELLS - _N_TAIL, _N_QUIET, _N_REACH), axis=1)
 
 
 def _row_law(weights: np.ndarray, c: float, every_word: bool = False) -> tuple[float, np.ndarray]:
@@ -307,6 +316,25 @@ def _row_law(weights: np.ndarray, c: float, every_word: bool = False) -> tuple[f
     return pi, probs / pi if pi > 0.0 else probs
 
 
+def _live_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(live, cdf): the _STATES rows of positive mass under ``probs``, and
+    their cumulative law, ending at exactly 1 when any row has mass.  A row
+    of zero mass repeats its predecessor's full-table cdf entry, so
+    ``live[searchsorted(cdf, u, "right")]`` is the full table's draw."""
+    live = np.flatnonzero(probs)
+    cdf = np.cumsum(probs.take(live))
+    if len(cdf):
+        cdf /= cdf[-1]  # above every uniform
+    return live, cdf
+
+
+def _draw_rows(live: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _STATES rows that uniforms ``u`` pick under ``_live_rows``'s
+    table, and their numbers of interior, quiet and reaching cells."""
+    j = np.searchsorted(cdf, u, side="right")
+    return live.take(j), np.bincount(j, minlength=len(live)) @ _STATE_COUNTS.take(live, axis=0)
+
+
 def _lattice_u(gen, n: int, t: int, reaching: bool) -> np.ndarray:
     """n value uniforms of tail cells, each a uniform pick among the
     lattice points with index i > t (reaching) or i <= t (quiet) on
@@ -322,25 +350,31 @@ def _any_rows(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask.view(np.uint32).ravel() != 0)
 
 
-def _count(written, reads, grid: LevelGrid, byte_of: np.ndarray | None) -> np.ndarray:
-    """The 5 class counts in _CLASS_ORDER, then the payload bit flips, of
-    the words ``written`` read back as ``reads``.  ``byte_of`` is the
-    codebook's byte table of a protected run, which decodes by parity;
-    None marks an unprotected run, which margin-senses, and whose words
-    are their bytes in radix 4."""
+def _wrong_rows(written, reads, grid: LevelGrid, byte_of: np.ndarray | None):
+    """``(written, decoded, passed)`` of the rows of ``written`` that
+    ``reads`` decode wrong.  A protected run (``byte_of`` as in
+    ``_count_wrong``) decodes by parity; an unprotected one (None)
+    margin-senses, and its ``passed`` is None: it has no parity check."""
     if byte_of is None:
         decoded, passed = margin_sense(reads, grid), None
-        byte_of = np.arange(256)
     else:
         _, decoded, passed = decode(reads, grid)
-    # only the few wrong rows are classified and counted in bits
     bad = _any_rows(decoded != written)
-    written, decoded = written.take(bad, axis=0), decoded.take(bad, axis=0)
     passed = None if passed is None else passed.take(bad)
+    return written.take(bad, axis=0), decoded.take(bad, axis=0), passed
+
+
+def _count_wrong(written, decoded, passed, grid: LevelGrid, byte_of: np.ndarray | None) -> np.ndarray:
+    """The 5 class counts in _CLASS_ORDER, then the payload bit flips, of
+    wrong rows from ``_wrong_rows``; NONE stays 0.  ``byte_of`` is the
+    codebook's byte table of a protected run; None marks an unprotected
+    run, whose words are their bytes in radix 4."""
+    protected = byte_of is not None
     counts = np.zeros(6, dtype=np.int64)
-    counts[:5] = np.bincount(_classify(written, decoded, passed, passed is not None), minlength=5)
-    counts[0] += len(reads) - len(bad)
+    counts[:5] = np.bincount(_classify(written, decoded, passed, protected), minlength=5)
     radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
+    if not protected:
+        byte_of = np.arange(256)
     wb = byte_of[written @ radix]
     db = byte_of[decoded @ radix]
     # an unmapped decode counts as a full byte
@@ -369,15 +403,13 @@ def _tally(config: SimConfig, tasks):
         gen = rng.gen
         # a tail cell reaches with chance (2^52 - 1 - T) 2^-52
         pi, probs = _row_law(weights, (_LATTICE - 1 - t) * 2.0**-52, every_word)
-        cdf = np.cumsum(probs)
-        if pi > 0.0:
-            cdf /= cdf[-1]  # ends at exactly 1, above every uniform
+        live, cdf = _live_rows(probs)
         n_hit = int(gen.binomial(n, pi))
         counts = np.zeros(6, dtype=np.int64)
-        counts[0] = n - n_hit
+        wrong, n_wrong = [], 0  # the wrong rows not yet counted
         for lo in range(0, n_hit, _CHUNK):
             m = min(_CHUNK, n_hit - lo)
-            rows = np.searchsorted(cdf, gen.random(m), side="right")
+            rows, n_state = _draw_rows(live, cdf, gen.random(m))
             states = _STATES.take(rows, axis=0).ravel()  # cell states in C order
             if pool is None:
                 written = gen.integers(low, high, (m, N_CELLS))
@@ -385,7 +417,6 @@ def _tally(config: SimConfig, tasks):
                 written = pool.take(gen.integers(0, len(pool), m), axis=0)
             # one value uniform per cell: the interior cells' draws, then the
             # quiet and the reaching tail cells', each in C order
-            n_state = np.bincount(states, minlength=3)
             u = np.empty(m * N_CELLS)
             u[states.argsort(kind="stable")] = np.concatenate((
                 gen.random(n_state[0]),
@@ -394,7 +425,14 @@ def _tally(config: SimConfig, tasks):
             ))
             v = _read_offsets(states != 0, u, noise).reshape(m, N_CELLS)
             v += grid.l0 + grid.pitch * written
-            counts += _count(written, v, grid, byte_of)
+            wrong.append(_wrong_rows(written, v, grid, byte_of))
+            n_wrong += len(wrong[-1][0])
+            if n_wrong >= _CHUNK or lo + m == n_hit:
+                # an unprotected run's passed parts are all None
+                joined = [None if part[0] is None else np.concatenate(part) for part in zip(*wrong)]
+                counts += _count_wrong(*joined, grid, byte_of)
+                wrong, n_wrong = [], 0
+        counts[0] = n - counts[1:5].sum()
         yield counts
 
 

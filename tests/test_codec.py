@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from norsim import codec
 from norsim.channel import LevelGrid, NoiseModel, RngStream, five_level_grid, sample_read
 from norsim.codec import (
     CodeBook,
+    _RANK_MIN_ROWS,
     decode,
     encode,
     enumerate_codewords,
@@ -486,16 +488,65 @@ class TestBatchDecode:
             row = decode(reads[i : i + 1], grid)
             self.assert_same(row, (sensed[i : i + 1], decoded[i : i + 1], passed[i : i + 1]))
 
+    # reads whose pitch-unit value overflows to +-inf give NaN move costs
+    OVERFLOW_GRID = LevelGrid(5, 1e-300, 0.0, 0.0)
+    OVERFLOW_READS = np.array([
+        [1e10, 1e-300, 0.0, 0.0], [1e-300, 1e10, 0.0, 0.0], [0.0, 0.0, 1e-300, -1e10],
+        [1e10, -1e10, 1e-300, 0.0], [3e-300, 1e-300, 2.4e-300, 1e10],
+    ])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reads_beyond_float_range_in_pitches(self):
-        # reads whose pitch-unit value overflows to +-inf give NaN move
-        # costs; the first such move wins, as under argmin
-        grid = LevelGrid(5, 1e-300, 0.0, 0.0)
-        reads = np.array([
-            [1e10, 1e-300, 0.0, 0.0], [1e-300, 1e10, 0.0, 0.0], [0.0, 0.0, 1e-300, -1e10],
-            [1e10, -1e10, 1e-300, 0.0], [3e-300, 1e-300, 2.4e-300, 1e10],
-        ])
+        # the first NaN-cost move wins, as under argmin
+        grid, reads = self.OVERFLOW_GRID, self.OVERFLOW_READS
         self.assert_same(decode(reads, grid), reference_decode(reads, grid))
+
+    @staticmethod
+    def failing_rows(grid, rng):
+        """Parity-failing reads on the exact dyadic lattice, where cost
+        ties occur, then every parity-failing sensed word with its edge
+        cells read outward, 2 pitches past levels 0 and n - 1."""
+        t = rng.integers(-96, 32 * grid.n_levels + 64, (4096, 4)) / 32.0
+        lattice = t[margin_sense(grid.l0 + grid.pitch * t, grid).sum(axis=1) % 2 == 1]
+        top = grid.n_levels - 1
+        words = np.array([w for w in product(range(grid.n_levels), repeat=4) if sum(w) % 2])
+        edges = np.where(words == 0, -2.0, np.where(words == top, top + 2.0, words + 0.25))
+        return grid.l0 + grid.pitch * np.concatenate((lattice, edges))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["lattice_and_edges", "overflow"])
+    def test_first_minimum_branches(self, book, case, monkeypatch):
+        # the same failing rows decoded as one batch, past _RANK_MIN_ROWS,
+        # by min-and-rank, and one word at a time by argmin
+        if case == "overflow":
+            grid = self.OVERFLOW_GRID
+            # 4 of the 5 rows fail parity
+            reads = np.tile(self.OVERFLOW_READS, (_RANK_MIN_ROWS // 4 + 1, 1))
+        else:
+            grid = DYADIC_GRIDS[0]
+            reads = self.failing_rows(grid, np.random.default_rng(25))
+        ranked, real_first_min = [], codec._first_min
+
+        def first_min(cost):
+            ties = ((cost == cost.min(axis=0)).sum(axis=0) > 1).sum()
+            ranked.append((cost.shape[1], ties, np.isnan(cost).any(axis=0).sum()))
+            return real_first_min(cost)
+
+        monkeypatch.setattr(codec, "_first_min", first_min)
+        batch = decode(reads, grid)
+        ((rows, ties, nan_rows),) = ranked
+        assert rows == (~batch[2]).sum() >= _RANK_MIN_ROWS
+        assert (ties > 0, nan_rows > 0) == (case != "overflow", case == "overflow")
+        self.assert_same(batch, reference_decode(reads, grid))
+        for i in range(len(reads)):
+            self.assert_same(decode(reads[i : i + 1], grid), tuple(a[i : i + 1] for a in batch))
+        assert len(ranked) == 1
+        decoded = batch[1]
+        assert ((decoded >= 0) & (decoded < grid.n_levels)).all()  # no move off the grid
+        if case == "overflow":
+            return
+        for i in range(len(reads)):  # exact distances: the oracle's tie-break holds
+            assert tuple(decoded[i].tolist()) == masked_search(reads[i], grid, book)[0]
 
 
 class TestReadByte:

@@ -18,18 +18,22 @@ from norsim.montecarlo import (
     BerEstimate,
     ErrorClass,
     SimConfig,
+    _CHUNK,
     _CLASS_ORDER,
     _LATTICE,
     _POPCOUNT8,
     _STATES,
     _classify,
-    _count,
+    _count_wrong,
     _data_pool,
+    _draw_rows,
     _lattice_u,
+    _live_rows,
     _reach_threshold,
     _row_law,
     _stratum_weights,
     _tally,
+    _wrong_rows,
     classify_error,
     confidence_interval,
     estimate_to_dict,
@@ -139,10 +143,21 @@ class TestRunTrials:
                                   trials=30_000, seed=5))
         assert e1 == e2
 
+    @staticmethod
+    def engine_counts(written, v, grid, byte_of):
+        """The 6 counts _tally's two counting steps give for one batch:
+        the wrong rows, classified and counted in bits, and NONE for the rest."""
+        wrong = _wrong_rows(written, v, grid, byte_of)
+        assert len(wrong[0]) < len(v)  # some rows are decoded right
+        got = _count_wrong(*wrong, grid, byte_of)
+        assert got[0] == 0 and got[1:5].sum() == len(wrong[0])
+        got[0] = len(v) - len(wrong[0])
+        return got
+
     def test_engine_matches_scalar_decoder(self):
         # reads drawn through the public API, decoded one word at a time by
         # read_byte and classified by classify_error, against the counting
-        # step _tally calls
+        # steps _tally calls
         cfg = SimConfig(a=0.7, tail=1.0, width=0.1, delta0=4.0, trials=1, seed=6)
         grid, noise, book = cfg.grid(), cfg.noise(), CodeBook.build(5)
         rng = RngStream(99)
@@ -156,7 +171,7 @@ class TestRunTrials:
             flips = 8 if out.byte is None else bin(written_bytes[i] ^ out.byte).count("1")
             want[5] += flips
         assert want[1:5].sum() > 0
-        got = _count(written, v, grid, book.byte_of)
+        got = self.engine_counts(written, v, grid, book.byte_of)
         assert got.tolist() == want.tolist()
 
     def test_engine_matches_margin_sensing_unprotected(self):
@@ -174,7 +189,7 @@ class TestRunTrials:
             wb, sb = (int("".join(map(str, w)), 4) for w in (written[i], sensed))
             want[5] += bin(wb ^ sb).count("1")
         assert want[4] > 0
-        got = _count(written, v, grid, None)
+        got = self.engine_counts(written, v, grid, None)
         assert got.tolist() == want.tolist()
 
     def test_events_bounded_by_hamming_bits(self):
@@ -535,8 +550,6 @@ def reference_tally(config, rng, n, k=None):
     it in law."""
     noise, grid = config.noise(), config.grid()
     low, high, pool, _ = _data_pool(config)
-    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
-    byte_of = CodeBook.build(grid.n_levels).byte_of if config.protected else np.arange(256)
     gen = rng.gen
     counts = np.zeros(6, dtype=np.int64)
     for lo in range(0, n, REFERENCE_BATCH):
@@ -549,15 +562,24 @@ def reference_tally(config, rng, n, k=None):
         tail_mask = u < noise.tail if k is None else u.argsort(axis=1) < k
         v = _read_offsets(tail_mask, gen.random((m, N_CELLS)), noise)
         v += grid.l0 + grid.pitch * written
-        if config.protected:
-            _, decoded, passed = decode(v, grid)
-        else:
-            decoded, passed = margin_sense(v, grid), None
-        cls = _classify(written, decoded, passed, config.protected)
-        counts[:5] += np.bincount(cls, minlength=5)
-        wb = byte_of[written @ radix]
-        db = byte_of[decoded @ radix]
-        counts[5] += np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
+        counts += reference_counts(written, v, grid, config.protected)
+    return counts
+
+
+def reference_counts(written, v, grid, protected):
+    """The 5 class counts, then the payload bit flips, of every row of
+    ``written`` read back as ``v``, each row decoded and classified."""
+    radix = grid.n_levels ** np.arange(N_CELLS - 1, -1, -1)
+    byte_of = CodeBook.build(grid.n_levels).byte_of if protected else np.arange(256)
+    if protected:
+        _, decoded, passed = decode(v, grid)
+    else:
+        decoded, passed = margin_sense(v, grid), None
+    counts = np.zeros(6, dtype=np.int64)
+    counts[:5] = np.bincount(_classify(written, decoded, passed, protected), minlength=5)
+    wb = byte_of[written @ radix]
+    db = byte_of[decoded @ radix]
+    counts[5] = np.where(db < 0, 8, _POPCOUNT8[(wb ^ db) & 0xFF]).sum()
     return counts
 
 
@@ -638,18 +660,51 @@ class TestSampledRows:
             cases = {name: far_from_zero(config) for name, config in cases.items()}
         every_word = {name for name, config in cases.items() if _reach_threshold(config) is None}
         assert every_word == ({"tiny_margin", "window_reads"} if far else {"tiny_margin"})
-        decoded, real_count = [], montecarlo._count
+        decoded, real_wrong_rows = [], montecarlo._wrong_rows
 
-        def count(written, reads, *args):
+        def wrong_rows(written, reads, *args):
             decoded.append(len(reads))
-            return real_count(written, reads, *args)
+            return real_wrong_rows(written, reads, *args)
 
-        monkeypatch.setattr(montecarlo, "_count", count)
+        monkeypatch.setattr(montecarlo, "_wrong_rows", wrong_rows)
         n = (1 << 14) + 7
         for name in sorted(every_word):
             decoded.clear()
             counts = tally(cases[name], RngStream(9), n, tail_law(cases[name].tail))
             assert sum(decoded) == n and counts[:5].sum() == n
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(a=1.0, tail=0.5, width=0.0, delta0=0.001),
+        dict(a=1.0, tail=0.5, width=0.0, delta0=0.001, protected=False),
+        dict(a=1.0, tail=0.5, width=3.0, delta0=1.0 + 1e-14),  # every word drawn
+    ], ids=["protected", "unprotected", "every_word"])
+    def test_wrong_rows_counted_in_groups(self, kwargs, monkeypatch):
+        # most words are wrong, so a group holds two chunks' wrong rows;
+        # the groups stay below 2 _CHUNK rows, and their counts sum to
+        # the counts of each chunk decoded on its own
+        config = SimConfig(**kwargs)
+        grid = config.grid()
+        chunks, groups = [], []
+        real_wrong_rows, real_count_wrong = montecarlo._wrong_rows, montecarlo._count_wrong
+
+        def wrong_rows(written, reads, *args):
+            chunks.append(reference_counts(written, reads, grid, config.protected))
+            return real_wrong_rows(written, reads, *args)
+
+        def count_wrong(written, *args):
+            groups.append(len(written))
+            return real_count_wrong(written, *args)
+
+        monkeypatch.setattr(montecarlo, "_wrong_rows", wrong_rows)
+        monkeypatch.setattr(montecarlo, "_count_wrong", count_wrong)
+        n = 6 * _CHUNK + 123
+        counts = tally(config, RngStream(11), n, tail_law(config.tail))
+        assert len(chunks) >= 5 and len(groups) < len(chunks)
+        assert 0 < max(groups) < 2 * _CHUNK
+        want = sum(chunks)
+        assert sum(groups) == want[1:5].sum() > 0.6 * n
+        want[0] += n - want[:5].sum()  # the words never drawn
+        assert counts.tolist() == want.tolist()
 
     @pytest.mark.parametrize(
         "kwargs, n",
@@ -765,6 +820,42 @@ class TestRowLaw:
         assert probs.sum() == pytest.approx(1.0, rel=1e-12)
         if k is None:
             assert probs[0] == pytest.approx((1.0 - p) ** N_CELLS, rel=1e-12)
+
+
+class TestLiveRows:
+    """``_tally`` draws each row from the rows of positive mass only; the
+    draws and their cell-state counts must equal those of a search over
+    the full 81-row table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True).map(_stratum_weights),
+            st.integers(0, N_CELLS).map(lambda k: np.eye(N_CELLS + 1)[k]),
+        ),
+        # 2^-52 is the least chance to reach, 1 the every-word case T = -1
+        c=st.one_of(st.sampled_from([2.0**-52, 1.0]), st.floats(2.0**-52, 1.0)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_equal_full_table(self, weights, c, seed):
+        pi, probs = _row_law(weights, c, every_word=c == 1.0)
+        live, cdf = _live_rows(probs)
+        if pi == 0.0:  # no word is drawn
+            assert len(live) == 0 and len(cdf) == 0
+            return
+        full = np.cumsum(probs)
+        full /= full[-1]
+        # 0, every cdf value and its neighbours, and uniforms in between
+        u = np.concatenate((
+            [0.0], full, np.nextafter(full, 0.0), np.nextafter(full, 1.0),
+            np.random.default_rng(seed).random(2000),
+        ))
+        u = u[u < 1.0]
+        rows, n_state = _draw_rows(live, cdf, u)
+        assert np.array_equal(rows, np.searchsorted(full, u, side="right"))
+        assert (probs.take(rows) > 0.0).all()
+        states = _STATES.take(rows, axis=0).ravel()
+        assert np.array_equal(n_state, np.bincount(states, minlength=3))
 
 
 class FixedDraws:
