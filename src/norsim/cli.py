@@ -397,8 +397,7 @@ def cmd_roundtrip(args) -> dict:
     ok = True
     for byte in range(256):
         word = encode(byte, book)
-        volts = [grid.l0 + grid.pitch * s for s in word]
-        out = read_byte(volts, grid, book)
+        out = read_byte(grid.level_voltage(word), grid, book)
         ok &= out.byte == byte and out.parity_passed and parity_ok(out.word)
     checks["zero_noise_roundtrip_256"] = bool(ok)
     rng = np.random.default_rng(0)
@@ -417,18 +416,11 @@ def _roundtrip_lines(results: dict) -> list[str]:
 
 # ---------------------------------------------------------------- driver
 
-_COMMANDS = {
-    "table1": (cmd_table1, _table1_lines),
-    "analytic": (cmd_analytic, _analytic_lines),
-    "simulate": (cmd_simulate, _simulate_lines),
-    "sweep": (cmd_sweep, _sweep_lines),
-    "roundtrip": (cmd_roundtrip, _roundtrip_lines),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
-    """Parser whose namespace holds exactly the flags given: no flag has a
-    default, so SimConfig's fields hold the simulation defaults."""
+    """Parser whose namespace holds exactly the flags given and the command's
+    run and render functions: no flag has a default, so SimConfig's fields
+    hold the simulation defaults."""
     parser = argparse.ArgumentParser(
         prog="norsim",
         description="Five-level parity-coded NOR storage: analytics and simulation",
@@ -436,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, about, point=False, sim=False):
+    def add_command(name, about, run, render, point=False, sim=False):
         p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run, render=render)
         p.add_argument("--config", help="flat key = value file mirroring flag names")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument(
@@ -487,21 +480,23 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add_command("table1", "render the reference operating table")
-    add_command("analytic", "closed-form error budget", point=True)
-    add_command("simulate", "Monte Carlo error-rate estimate", point=True, sim=True)
-    p_sweep = add_command("sweep", "scan a*delta0 and fit the log-log slope", sim=True)
+    add_command("table1", "render the reference operating table", cmd_table1, _table1_lines)
+    add_command("analytic", "closed-form error budget", cmd_analytic, _analytic_lines, point=True)
+    add_command("simulate", "Monte Carlo error-rate estimate", cmd_simulate, _simulate_lines,
+                point=True, sim=True)
+    p_sweep = add_command("sweep", "scan a*delta0 and fit the log-log slope", cmd_sweep,
+                          _sweep_lines, sim=True)
     p_sweep.add_argument("--grid", help="comma-separated a*delta0 values")
     p_sweep.add_argument(
         "--mode", choices=("analytic", "simulate", "both"),
         help="which rates to compute per grid point",
     )
-    add_command("roundtrip", "exhaustive codec self-test")
+    add_command("roundtrip", "exhaustive codec self-test", cmd_roundtrip, _roundtrip_lines)
     return parser
 
 
 def _public_params(args) -> dict:
-    skip = {"command", "config", "out", "format"}
+    skip = {"command", "run", "render", "config", "out", "format"}
     return {k.replace("_", "-"): v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -512,8 +507,7 @@ def main(argv=None) -> int:
         if hasattr(args, "config"):
             _apply_config(args, parser, args.config)
         out = getattr(args, "out", None)
-        runner, renderer = _COMMANDS[args.command]
-        results = runner(args)
+        results = args.run(args)
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -523,7 +517,7 @@ def main(argv=None) -> int:
             "out": out,
         }
         doc = {"manifest": manifest, "results": results}
-        _emit(doc, getattr(args, "format", "table"), out, renderer)
+        _emit(doc, getattr(args, "format", "table"), out, args.render)
     except (ValueError, OSError) as exc:
         print(f"norsim: error: {exc}", file=sys.stderr)
         return 2

@@ -168,6 +168,8 @@ class SimConfig:
                 bounds = f">= {low}" if high == math.inf else f"in [{low}, 2**63 - 1]"
                 raise ValueError(f"{name} must be {bounds}, got {n}")
             object.__setattr__(self, name, _whole_number(name, n))
+        if not self.stratified and self.subtrials_per_stratum is not None:
+            raise ValueError("subtrials_per_stratum applies only to a stratified run")
         if self.data_mode not in ("uniform", "interior"):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.stratified and self.tail == 0.0:

@@ -537,9 +537,13 @@ def test_readme_examples_parse():
         parser.parse_args(argv[1:])
 
 
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_pyproject_version_is_the_package_version():
-    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
-    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == norsim.__version__
+    # pyproject.toml declares the version dynamic, read from norsim.__version__
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyproject.read_configuration(README.parent / "pyproject.toml", expand=True)
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == norsim.__version__
 
 
 def test_readme_library_table_names_exist():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from norsim import codec
 from norsim.channel import LevelGrid, NoiseModel, RngStream, five_level_grid, sample_read
 from norsim.codec import (
+    N_CELLS,
     CodeBook,
     _RANK_MIN_ROWS,
     decode,
@@ -72,6 +73,21 @@ def decode_one(volts, grid):
     return tuple(decoded[0].tolist())
 
 
+MOVE_CELL = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+MOVE_STEP = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
+
+
+def move_costs(t, sensed, n_levels):
+    """The 8 one-level move costs of each row of reads ``t`` (pitch units
+    above l0) sensed as ``sensed``, along the last axis of a (k, 8) array;
+    inf for a move off the grid."""
+    t, s = t[:, MOVE_CELL], sensed[:, MOVE_CELL]
+    moved = s + MOVE_STEP
+    cost = np.abs(t - moved) - np.abs(t - s)
+    cost[(moved < 0) | (moved >= n_levels)] = np.inf
+    return cost
+
+
 def reference_decode(reads, grid):
     """``decode`` as of norsim 0.6.0, kept frozen: the 8 one-level moves of
     each failing row laid out along the last axis of a (k, 8) array, and
@@ -81,16 +97,10 @@ def reference_decode(reads, grid):
     passed = sensed.sum(axis=1) % 2 == 0
     decoded = sensed.copy()
     if not passed.all():
-        move_cell = np.array([0, 1, 2, 3, 3, 2, 1, 0])
-        move_step = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
         fail = np.flatnonzero(~passed)
-        t = ((v[fail] - grid.l0) / grid.pitch)[:, move_cell]
-        s = sensed[fail][:, move_cell]
-        moved = s + move_step
-        cost = np.abs(t - moved) - np.abs(t - s)
-        cost[(moved < 0) | (moved >= grid.n_levels)] = np.inf
-        best = cost.argmin(axis=1)
-        decoded[fail, move_cell[best]] += move_step[best]
+        t = (v[fail] - grid.l0) / grid.pitch
+        best = move_costs(t, sensed[fail], grid.n_levels).argmin(axis=1)
+        decoded[fail, MOVE_CELL[best]] += MOVE_STEP[best]
     return sensed, decoded, passed
 
 
@@ -455,6 +465,57 @@ class TestReflection:
         interior, holds = self.decode_pair(t, self.mirror(t, w, [cell]), w, [cell], grid)
         assume(interior[0])
         assert holds[0]
+
+
+class TestThreeCases:
+    """``decode`` by the count of cells sensed wrong, the three cases of the
+    decoder's error rate in closed form.  None: the word decodes right.  Two
+    or more: it decodes wrong, as the decoder changes at most one cell.
+    Exactly one, cell i: it decodes right iff i is sensed one level off, its
+    read has not passed its sensed level, and every other cell k has
+    residual |t_k - x_k| < 1/2 - y, y being i's excess past its boundary.
+    Then i's repair costs 2y and k's cheapest move 1 - 2|t_k - x_k|, except
+    at level 0 or n - 1 with the read outward, where k's move toward its
+    read is off the grid, so k is exempt from the bound."""
+
+    @staticmethod
+    def decodes_right(t, written, grid):
+        """The rule, for one word ``written`` read at ``t`` (pitch units)."""
+        n = grid.n_levels
+        sensed = margin_sense(grid.l0 + grid.pitch * t, grid)
+        (wrong,) = np.nonzero(sensed != written)
+        if len(wrong) != 1:
+            return len(wrong) == 0
+        (i,) = wrong
+        step = sensed[i] - written[i]
+        if abs(step) != 1 or step * (t[i] - sensed[i]) > 0:
+            return False
+        y = step * (t[i] - written[i]) - 0.5
+        outward = ((written == 0) & (t < 0)) | ((written == n - 1) & (t > n - 1))
+        bound = (np.arange(N_CELLS) != i) & ~outward
+        return bool((np.abs(t - written)[bound] < 0.5 - y).all())
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        grid=st.sampled_from(DYADIC_GRIDS),
+        byte=st.integers(0, 255),
+        ticks=st.lists(
+            st.one_of(st.integers(-16, 16), st.integers(-32, 32), st.integers(-80, 80)),
+            min_size=4, max_size=4,
+        ),
+    )
+    def test_on_exact_lattice(self, book, grid, byte, ticks):
+        # reads 1/32 pitch apart within 2.5 pitches of a byte-mapped codeword,
+        # drawn often within half a pitch or one pitch so that words with
+        # exactly one cell sensed wrong are common
+        written = np.array(encode(byte, book))
+        t = written + np.array(ticks) / 32.0
+        sensed = margin_sense(grid.l0 + grid.pitch * t, grid)
+        if sensed.sum() % 2:  # ties aside: one cheapest move
+            cost = move_costs(t[None], sensed[None], grid.n_levels)[0]
+            assume((cost == cost.min()).sum() == 1)
+        decoded = decode(grid.l0 + grid.pitch * t[None], grid)[1][0]
+        assert (decoded == written).all() == self.decodes_right(t, written, grid)
 
 
 class TestBatchDecode:

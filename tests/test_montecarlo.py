@@ -255,6 +255,11 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="tail"):
             SimConfig(a=1.0, tail=0.0, width=0.5, delta0=3.0, stratified=True)
 
+    def test_plain_config_rejects_subtrials(self):
+        # a plain run has no strata to size, so it would ignore the field
+        with pytest.raises(ValueError, match="^subtrials_per_stratum applies only to a stratified"):
+            SimConfig(a=1.0, tail=0.1, width=0.5, delta0=3.0, subtrials_per_stratum=7)
+
     def test_counts_past_int64_rejected(self):
         base = dict(a=1.0, tail=1e-9, width=0.0, delta0=40.0)
         with pytest.raises(ValueError, match=r"^trials must be in \[1, 2\*\*63 - 1\]"):
