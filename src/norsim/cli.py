@@ -17,14 +17,24 @@ version, timestamp), which ``table`` and ``csv`` reports carry as two
 ``#`` header lines; rerunning with the recorded parameters reproduces
 the numerical content byte-for-byte.  Exit status is 2 on parameter or
 I/O errors and 1 when the roundtrip self-test fails, never nonzero on
-statistical outcomes.
+statistical outcomes; an ``--out`` path that cannot be written is refused
+before the command runs.
+
+``main`` parses with one parser per process, built on its first call, so
+repeated in-process calls (a benchmark, a script) do not rebuild the
+argparse tree.  Each command's ``run`` and ``render`` defaults are bound
+when that parser is built: a test that stubs out a command's work
+monkeypatches what the command calls (``cli.read_byte``,
+``cli.run_trials``), not ``cmd_*`` itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -153,6 +163,18 @@ def _resolve_point(args) -> tuple[float, float, float]:
             raise ValueError(f"--exp-margin must be in (0, 1), got {em}")
         ad0 = -math.log(em)
     return (ad0, *_channel_flags(args))
+
+
+def _check_out(path: str) -> None:
+    """Raise now the OSError that writing the report to path would raise,
+    leaving the file system as it was; a path that exists as neither file
+    nor directory (a pipe, a device, a dangling link) is left to the write."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.unlink(path)
+    except FileExistsError:
+        if os.path.isfile(path) or os.path.isdir(path):
+            os.close(os.open(path, os.O_WRONLY))  # open(path, "w") minus truncation
 
 
 def _emit(doc: dict, fmt: str, out: str | None, render_table) -> None:
@@ -418,9 +440,11 @@ def _roundtrip_lines(results: dict) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Parser whose namespace holds exactly the flags given and the command's
-    run and render functions: no flag has a default, so SimConfig's fields
-    hold the simulation defaults."""
+    """A fresh parser whose namespace holds exactly the flags given and the
+    command's run and render functions: no flag has a default, so
+    SimConfig's fields hold the simulation defaults.  ``main`` builds one on
+    its first call and reuses it for the process, with run and render bound
+    then: to stub a command, patch what it calls, not its ``cmd_*``."""
     parser = argparse.ArgumentParser(
         prog="norsim",
         description="Five-level parity-coded NOR storage: analytics and simulation",
@@ -500,13 +524,21 @@ def _public_params(args) -> dict:
     return {k.replace("_", "-"): v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parsing leaves no state on it, so calls share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "config"):
             _apply_config(args, parser, args.config)
         out = getattr(args, "out", None)
+        if out:
+            _check_out(out)
         results = args.run(args)
         manifest = {
             "command": args.command,

@@ -1,5 +1,6 @@
 """CLI: commands, formats, manifests, config files, exit codes."""
 
+import argparse
 import dataclasses
 import importlib
 import json
@@ -42,6 +43,15 @@ def exit_code(capsys, *argv):
     except SystemExit as exc:
         code = exc.code
     return code, capsys.readouterr().err
+
+
+def fresh_python(*args) -> str:
+    """Standard output of a new interpreter with this checkout's norsim."""
+    src = Path(norsim.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
 
 
 def rerun_argv(manifest):
@@ -410,10 +420,30 @@ class TestSimulateCommand:
         assert doc["results"]["config"]["seed"] == seed
         assert doc["manifest"]["params"]["seed"] == seed
 
-    def test_unwritable_output_is_error(self, capsys):
-        code, _, err = run_cli(capsys, *self.ARGS, "--out",
-                               "/nonexistent-dir/report.json")
-        assert code == 2 and "error" in err
+    def test_unwritable_output_is_error(self, capsys, monkeypatch, tmp_path):
+        # refused before any trial runs, with open()'s message, creating nothing
+        def no_run(config):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_trials", no_run)
+        (tmp_path / "a-file").write_text("keep")
+        for target in ("no-such-dir/report.json", "a-file/report.json", "."):
+            path = tmp_path / target
+            code, _, err = run_cli(capsys, "simulate", "--a-delta0", "6", "--trials", "1e12",
+                                   "--out", str(path))
+            with pytest.raises(OSError) as opened:
+                open(path, "w")
+            assert code == 2 and err == f"norsim: error: {opened.value}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+            assert (tmp_path / "a-file").read_text() == "keep"
+
+    def test_failed_run_leaves_existing_output(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text("keep")
+        code, _, err = run_cli(capsys, *self.ARGS, "--stratified", "--no-protected",
+                               "--out", str(report))
+        assert code == 2 and "protected" in err
+        assert report.read_text() == "keep"
 
 
 class TestSweepCommand:
@@ -589,13 +619,62 @@ def test_package_exports_names_it_once_left_out():
 def test_cli_import_leaves_out_thread_pools():
     # the engine runs its tasks serially, so a fresh process need not pay
     # for importing concurrent.futures
-    src = Path(norsim.__file__).resolve().parents[1]
     probe = (
         "import sys, norsim.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert fresh_python("-c", probe).strip() == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    # main builds its parser on its first call, so library importers pay nothing
+    probe = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+        "import norsim.cli; print(len(built))"
+    )
+    assert fresh_python("-c", probe).strip() == "0"
+
+
+class TestSharedParser:
+    """main builds one parser per process and parses every call with it, so
+    no call may leave state on it that a later call sees."""
+
+    # few flags, so a flag leaked from an earlier call shows in the manifest
+    LATER = "simulate --a-delta0 3 --tail 0.3 --trials 2e3 --format json"
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return json.loads(fresh_python("-m", "norsim", *self.LATER.split()))
+
+    @pytest.mark.parametrize("first,code", [
+        ("simulate --a-delta0 4 --tail 0.05 --stratified --subtrials 1e3", 0),
+        ("{later} --config {cfg}", 0),
+        ("simulate --a-delta0 4 --stratified --shards 2", 2),
+        ("simulate --stratified --seed -1", 2),  # argparse stops mid-parse
+        ("simulate --help", 0),
+    ])
+    def test_later_call_runs_as_alone(self, capsys, tmp_path, alone, first, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protected = false\nshards = 2\ndata-mode = interior\nseed = 9\n")
+        argv = first.format(later=self.LATER, cfg=cfg).split()
+        assert exit_code(capsys, *argv)[0] == code
+        later = run_json(capsys, *self.LATER.split())
+        manifests = [{k: v for k, v in doc["manifest"].items() if k != "created_utc"}
+                     for doc in (later, alone)]
+        assert manifests[0] == manifests[1]
+        assert later["results"] == alone["results"]
+
+    def test_two_calls_build_at_most_one_parser(self, capsys, monkeypatch):
+        roots = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            roots.append(kwargs.get("prog") == "norsim")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert run_cli(capsys, "table1")[0] == 0
+        assert sum(roots) <= 1
