@@ -13,4 +13,4 @@ from .codec import *  # noqa: F401,F403
 from .analytic import *  # noqa: F401,F403
 from .montecarlo import *  # noqa: F401,F403
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -57,6 +57,8 @@ from .codec import (
 )
 from .channel import _whole_number, five_level_grid
 from .montecarlo import (
+    _MAX_COUNT,
+    _MAX_SUBTRIALS,
     SimConfig,
     estimate_to_dict,
     run_stratified,
@@ -141,10 +143,10 @@ def _whole(minimum: int, maximum: float = math.inf):
     return parse
 
 
-# a count must fit numpy's int64, as Generator.binomial's n does; so must
-# the --trials a stratified run echoes, 4 * --subtrials
-_count = _whole(1, np.iinfo(np.int64).max)
-_subtrials = _whole(1, np.iinfo(np.int64).max // N_CELLS)
+# SimConfig's bounds: a count must fit numpy's int64, as Generator.binomial's
+# n does; so must a stratified run's budget, 4 * --subtrials
+_count = _whole(1, _MAX_COUNT)
+_subtrials = _whole(1, _MAX_SUBTRIALS)
 
 
 def _channel_flags(args) -> tuple[float, float]:
@@ -304,7 +306,8 @@ def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
     if "subtrials" in given:
         given["subtrials_per_stratum"] = given.pop("subtrials")
     if given.get("stratified"):
-        # each stratum is one stream of --subtrials words, or --trials / 4
+        # each stratum is one stream; the run's budget, --subtrials (or
+        # --trials / 4) words per stratum, is split by stratum weight
         if "shards" in given:
             raise ValueError("--shards does not apply to a stratified run")
         if "subtrials_per_stratum" in given:
@@ -496,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--subtrials", type=_subtrials,
-                help="sub-trials per stratum (stratified runs)",
+                help="words per simulated stratum on average, split by stratum weight, "
+                     "at least one each (stratified runs)",
             )
             p.add_argument(
                 "--data-mode", choices=("uniform", "interior"),

@@ -312,10 +312,14 @@ class TestSimulateCommand:
         assert code == 2 and "--shards" in err
 
     def test_stratified_trials_alone_sets_the_stratum_size(self, capsys):
+        # --trials is the budget, --trials / 4 words per stratum on average,
+        # split by stratum weight: at tail 0.1 the weights are 0.2916,
+        # 0.0486, 0.0036 and 0.0001
         doc = run_json(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
                        "--stratified", "--trials", "400")
-        strata = doc["results"]["estimate"]["strata"]
-        assert [s["trials"] for s in strata if s["simulated"]] == [100] * 4
+        est = doc["results"]["estimate"]
+        assert [s["trials"] for s in est["strata"] if s["simulated"]] == [337, 57, 5, 1]
+        assert est["trials"] == 400
 
     def test_stratified_subtrials_echo_their_trials(self, capsys):
         # 4 * --subtrials is the --trials value of the same run

@@ -80,11 +80,11 @@ CASES = {
         'simulate --a-delta0 6.9 --aw 6.9 --tail 0.001 --data-mode interior --stratified --subtrials 4096 --seed 1',
         [
             '# params: a-delta0=6.9 aw=6.9 data-mode=interior seed=1 stratified=True subtrials=4096 tail=0.001',
-            'trials=16384 events=0.048791568028 event_rate_per_bit=3.722501e-07 ci95=(1.294e-07, 1.082e-06)',
-            'hamming_rate=1.368936e-06',
-            'per_class: {"none": 16383.951208431972, "type_i": 9.598397600000002e-05, "type_ii": 0.0, "type_iii": 0.032288047788, "other": 0.016407536264}',
+            'trials=16384 events=0.039948391136258254 event_rate_per_bit=3.047820e-07 ci95=(1.656e-07, 6.577e-07)',
+            'hamming_rate=1.066737e-06',
+            'per_class: {"none": 16383.960051608863, "type_i": 0.0, "type_ii": 0.0, "type_iii": 0.031958712909006606, "other": 0.007989678227251652}',
             'analytic: {"e2_i": 3.779195358931911e-10, "e2_ii": 5.078157355012451e-10, "e2_iii": 2.6076447976630193e-09, "e2_total": 3.4933800690574553e-09}',
-            'empirical/analytic: {"type_i": 1.9377130633146111, "type_ii": 0.0, "type_iii": 94.4677187012875, "total": 106.55872390786608}',
+            'empirical/analytic: {"type_i": 0.0, "type_ii": 0.0, "type_iii": 93.50415735773568, "total": 87.24559905943403}',
         ],
     ),
     'sweep': (

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from norsim import codec
@@ -448,7 +448,11 @@ class TestReflection:
         # outside the condition it fails: clamping at an outer level breaks it
         assert not holds[~interior].all()
 
-    @settings(max_examples=300, deadline=None)
+    # about 1 draw in 4 meets both assume()s, and hypothesis's first, simpler
+    # draws (all-zero or edge ticks) meet them less often, which can trip its
+    # filter health check; 300 examples still run, at ~1,000 rejected draws
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
     @given(
         grid=st.sampled_from(DYADIC_GRIDS),
         written=st.sampled_from(INTERIOR_WORDS),

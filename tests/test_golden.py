@@ -116,16 +116,17 @@ def test_stratified_run_is_pinned():
             data_mode="interior", subtrials_per_stratum=1 << 14, seed=5,
         )
     )
+    # the 65,536-word budget split by stratum weight
     assert [(s.trials, s.events) for s in est.strata] == [
-        (0, 0), (16384, 5), (16384, 137), (16384, 277), (16384, 501),
+        (0, 0), (65435, 15), (99, 0), (1, 0), (1, 0),
     ]
-    assert est.word_error_events == pytest.approx(0.08304609678, rel=1e-12)
-    assert est.bit_errors_hamming == pytest.approx(0.426937314812, rel=1e-12)
+    assert est.word_error_events == pytest.approx(0.05991251337277971, rel=1e-12)
+    assert est.bit_errors_hamming == pytest.approx(0.21967921570019225, rel=1e-12)
     want = {
-        "none": 65535.91695390322,
-        "type_i": 0.00040785606000000004,
+        "none": 65535.940087486626,
+        "type_i": 0.0,
         "type_ii": 0.0,
-        "type_iii": 0.001367104384,
-        "other": 0.081271136336,
+        "type_iii": 0.03994167558185314,
+        "other": 0.01997083779092657,
     }
     assert est.per_class == pytest.approx(want, rel=1e-12)

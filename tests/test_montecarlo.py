@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,7 @@ from norsim.montecarlo import (
     _LATTICE,
     _POPCOUNT8,
     _STATES,
+    _allocate,
     _classify,
     _count_wrong,
     _data_pool,
@@ -270,6 +272,18 @@ class TestRunTrials:
         est = run_trials(SimConfig(trials=2**63 - 1, **base))
         assert est.trials == 2**63 - 1 and est.word_error_events == 0
 
+    def test_subtrials_bound_keeps_every_stratum_in_int64(self):
+        # a stratum may get nearly all of the 4 * subtrials budget, and
+        # Generator.binomial takes its size as an int64; no word reaches here
+        base = dict(a=1.0, tail=1e-9, width=0.0, delta0=40.0, stratified=True)
+        top = (2**63 - 1) // 4
+        est = run_stratified(SimConfig(subtrials_per_stratum=top, **base))
+        assert est.trials == 4 * top and est.word_error_events == 0
+        assert est.strata[1].trials >= 0.99 * est.trials
+        with pytest.raises(ValueError, match=(r"^subtrials_per_stratum must be in "
+                                              r"\[1, \(2\*\*63 - 1\) // 4\], got")):
+            SimConfig(subtrials_per_stratum=top + 1, **base)
+
     @pytest.mark.parametrize("name, bad", [
         ("seed", 0.5), ("seed", np.float64(2.5)), ("seed", math.inf), ("trials", 1.5),
         ("trials", True), ("shards", 1.5), ("shards", np.True_), ("subtrials_per_stratum", 2.5),
@@ -405,8 +419,10 @@ class TestTaskMerge:
             tally(plain, RngStream(23, i), len(range(i, plain.trials, 5)), tail_law(0.3))
             for i in range(5)
         )
+        # the 20,000-word budget split by stratum weight
+        sizes = dict(zip(range(1, 5), [10_832, 6_964, 1_990, 214]))
         serial_strata = [
-            int(tally(strat, RngStream(23, 10_000 + k), 5_000, tail_law(0.3, k))[1:5].sum())
+            int(tally(strat, RngStream(23, 10_000 + k), sizes[k], tail_law(0.3, k))[1:5].sum())
             for k in range(1, 5)
         ]
         est = run_trials(plain)
@@ -417,30 +433,87 @@ class TestTaskMerge:
             c.value: int(serial[i]) for i, c in enumerate(_CLASS_ORDER)
         }
         assert strata[0] == strata[1] == strata[2]
+        assert [s.trials for s in strata[0].strata[1:]] == list(sizes.values())
         assert [s.events for s in strata[0].strata[1:]] == serial_strata
 
     def test_stratum_means_divide_whole_counts(self, monkeypatch):
-        # above 2^53 words per stratum a float cast of n_per rounds; the
-        # means divide the whole counts, as events / n_per does in Python
-        n_per = 2**53 + 1
-        rows = {1: [n_per - 3, 1, 1, 0, 1, 5], 2: [n_per - 1, 0, 0, 1, 0, 2],
-                3: [n_per - 7, 2, 3, 1, 1, 9], 4: [n_per - 5, 0, 2, 2, 1, 8]}
+        # above 2^53 words in a stratum a float cast of its size rounds; the
+        # means divide the whole counts, as events / n does in Python
+        events = {1: [1, 1, 0, 1, 5], 2: [0, 0, 1, 0, 2], 3: [2, 3, 1, 1, 9], 4: [0, 2, 2, 1, 8]}
+        sizes = {}
 
         def fake_tally(config, tasks):
             for rng, n, weights in tasks:
-                yield np.array(rows[int(np.argmax(weights))], dtype=np.int64)
+                k = int(np.argmax(weights))
+                sizes[k] = n
+                yield np.array([n - sum(events[k][:4]), *events[k]], dtype=np.int64)
 
         monkeypatch.setattr(montecarlo, "_tally", fake_tally)
-        config = SimConfig(trials=1, stratified=True, subtrials_per_stratum=n_per, **self.BASE)
+        config = SimConfig(trials=1, stratified=True, subtrials_per_stratum=2**53 + 1, **self.BASE)
         est = run_stratified(config)
+        assert sizes[1] > 2**53 and float(sizes[1]) != sizes[1]
         p_hat = p_cast = 0.0
         for k, w in enumerate(_stratum_weights(config.tail).tolist()[1:], start=1):
-            events = sum(rows[k][1:5])
-            assert est.strata[k].mean == events / n_per
-            p_hat += w * (events / n_per)
-            p_cast += w * (events / float(n_per))
+            n_events = sum(events[k][:4])
+            assert est.strata[k].trials == sizes[k]
+            assert est.strata[k].mean == n_events / sizes[k]
+            p_hat += w * (n_events / sizes[k])
+            p_cast += w * (n_events / float(sizes[k]))
         assert est.event_rate_per_bit == p_hat / 8
         assert p_hat != p_cast  # the case tells the two divisions apart
+
+
+class TestAllocate:
+    """A stratified run's budget B, split over its strata by weight."""
+
+    RARE = _stratum_weights(1e-3)[1:].tolist()  # 6.9/6.9/1e-3's strata
+
+    @pytest.mark.parametrize("budget", [4, 400, 4 * (2**53 + 1), 4 * ((2**63 - 1) // 4)])
+    @pytest.mark.parametrize("tail", [1e-3, 0.3, 0.9])
+    def test_shares_sum_to_the_budget(self, tail, budget):
+        sizes = _allocate(_stratum_weights(tail)[1:].tolist(), budget)
+        assert sum(sizes) == budget and min(sizes) >= 1
+        assert _allocate(_stratum_weights(tail)[1:].tolist(), budget) == sizes
+
+    def test_rare_point_gives_stratum_1_nearly_all(self):
+        # stratum 1 carries 99.85% of the weight of k >= 1 here
+        assert _allocate(self.RARE, 16_384) == [16_356, 26, 1, 1]
+        for budget in (400, 1 << 20, 4 * ((2**63 - 1) // 4)):
+            assert _allocate(self.RARE, budget)[0] >= 0.99 * budget
+
+    def test_lone_stratum_gets_the_budget(self):
+        assert _allocate([1.0], 20_000) == [20_000]
+        assert _allocate([5e-324], 2**63 - 1) == [2**63 - 1]
+
+    def test_largest_remainders_tie_to_the_lower_stratum(self):
+        # 2 spare words over equal weights: quotas 2/3 each
+        assert _allocate([0.25, 0.25, 0.25], 5) == [2, 2, 1]
+        assert _allocate([0.5, 0.25], 5) == [3, 2]  # quotas 2, 1: no remainder
+
+    weights = st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                       min_size=1, max_size=N_CELLS)
+
+    @seed(28)
+    @settings(max_examples=300, deadline=None)
+    @given(weights, st.integers(min_value=0, max_value=2**63 - 1 - N_CELLS))
+    def test_within_one_of_the_proportional_quota(self, w, spare):
+        budget = len(w) + spare
+        sizes = _allocate(w, budget)
+        assert sum(sizes) == budget and min(sizes) >= 1
+        total = sum(map(Fraction, w))
+        for x, n in zip(w, sizes):
+            quota = spare * Fraction(x) / total
+            assert math.floor(quota) <= n - 1 <= math.ceil(quota)
+
+    @seed(29)
+    @settings(max_examples=300, deadline=None)
+    @given(weights, st.integers(min_value=0, max_value=10**6), st.data())
+    def test_a_heavier_stratum_never_gets_fewer(self, w, spare, data):
+        k = data.draw(st.integers(0, len(w) - 1))
+        heavier = data.draw(st.floats(min_value=w[k], max_value=2.0, exclude_min=True))
+        grown = w[:k] + [heavier] + w[k + 1:]
+        budget = len(w) + spare
+        assert _allocate(grown, budget)[k] >= _allocate(w, budget)[k]
 
 
 class TestRunSetUp:
