@@ -53,7 +53,7 @@ from .analytic import (
     table1,
 )
 from .codec import (
-    BITS_PER_WORD, N_CELLS, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
+    BITS_PER_WORD, CodeBook, encode, enumerate_codewords, parity_ok, read_byte
 )
 from .channel import _whole_number, five_level_grid
 from .montecarlo import (
@@ -144,7 +144,7 @@ def _whole(minimum: int, maximum: float = math.inf):
 
 
 # SimConfig's bounds: a count must fit numpy's int64, as Generator.binomial's
-# n does; so must a stratified run's budget, 4 * --subtrials
+# n does; so must the trials that --subtrials sets, 4 * --subtrials
 _count = _whole(1, _MAX_COUNT)
 _subtrials = _whole(1, _MAX_SUBTRIALS)
 
@@ -306,15 +306,12 @@ def _sim_config(args, a_delta0: float, aw: float, tail: float) -> SimConfig:
     if "subtrials" in given:
         given["subtrials_per_stratum"] = given.pop("subtrials")
     if given.get("stratified"):
-        # each stratum is one stream; the run's budget, --subtrials (or
-        # --trials / 4) words per stratum, is split by stratum weight
+        # each stratum is one stream; the run draws --trials words, which
+        # --subtrials S sets to 4 * S, split by stratum weight
         if "shards" in given:
             raise ValueError("--shards does not apply to a stratified run")
-        if "subtrials_per_stratum" in given:
-            if "trials" in given:
-                raise ValueError("--trials does not apply to a stratified run given --subtrials")
-            # echo the --trials value that gives the same run
-            given["trials"] = N_CELLS * given["subtrials_per_stratum"]
+        if "subtrials_per_stratum" in given and "trials" in given:
+            raise ValueError("--trials does not apply to a stratified run given --subtrials")
     elif "subtrials_per_stratum" in given:
         raise ValueError("--subtrials applies only to a stratified run")
     return SimConfig(a=1.0, tail=tail, width=aw, delta0=a_delta0, **given)
@@ -499,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--subtrials", type=_subtrials,
-                help="words per simulated stratum on average, split by stratum weight, "
-                     "at least one each (stratified runs)",
+                help="sets --trials to 4 x this: a stratified run draws --trials words, "
+                     "split by stratum weight, at least one per stratum",
             )
             p.add_argument(
                 "--data-mode", choices=("uniform", "interior"),

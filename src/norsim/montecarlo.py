@@ -111,8 +111,8 @@ _CHUNK = 1 << 11
 _Z95 = 1.959963984540054
 
 # The largest count numpy's int64 holds, as Generator.binomial's n must.
-# A stratified run's budget is N_CELLS times its subtrials_per_stratum, and
-# one stratum may get nearly all of it, so that field stops at 1/N_CELLS.
+# subtrials_per_stratum sets a stratified run's trials to N_CELLS times it,
+# and one stratum may get nearly all of them, so that field stops at 1/N_CELLS.
 _MAX_COUNT = 2**63 - 1
 _MAX_SUBTRIALS = _MAX_COUNT // N_CELLS
 
@@ -147,7 +147,8 @@ class SimConfig:
     grid derives its margin from the equal-window condition.  data_mode
     "interior" draws only words whose symbols avoid the outer levels,
     which removes edge-clamping effects and matches the two-sided
-    exposure the closed forms assume.
+    exposure the closed forms assume.  A stratified run draws ``trials``
+    words, which setting subtrials_per_stratum S sets to N_CELLS * S.
     """
 
     a: float
@@ -179,14 +180,18 @@ class SimConfig:
                 bounds = f">= {low}" if high == math.inf else f"in [{low}, {shown}]"
                 raise ValueError(f"{name} must be {bounds}, got {n}")
             object.__setattr__(self, name, _whole_number(name, n))
-        if not self.stratified and self.subtrials_per_stratum is not None:
-            raise ValueError("subtrials_per_stratum applies only to a stratified run")
+        if self.subtrials_per_stratum is not None:
+            if not self.stratified:
+                raise ValueError("subtrials_per_stratum applies only to a stratified run")
+            object.__setattr__(self, "trials", N_CELLS * self.subtrials_per_stratum)
         if self.data_mode not in ("uniform", "interior"):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if self.stratified and self.tail == 0.0:
             raise ValueError("tail must be > 0 in a stratified run, which simulates tail cells")
         if self.stratified and not self.protected:
             raise ValueError("stratified runs support the protected mode only")
+        if self.stratified and self.trials < N_CELLS:  # a word per stratum
+            raise ValueError(f"trials must be >= {N_CELLS} in a stratified run, got {self.trials}")
         self.noise()
         self.grid()
 
@@ -524,31 +529,29 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     Wilson bounds like the means, so a run that sees no events still
     reports a positive upper bound.
 
-    The run draws B = subtrials_per_stratum (or trials // 4) words per
-    simulated stratum, and splits the B words in proportion to w_k
-    (``_allocate``), at least one per stratum, so each keeps its Wilson
-    bound.  Neyman's rule (1934) minimises the variance at a given cost by
-    n_k ~ w_k sigma_k / sqrt(cost_k).  A stratum-k word is wrong with
-    chance m_k, so sigma_k^2 = m_k (1 - m_k), near m_k for rare events;
-    ``_tally`` decodes only the words with a reaching cell, a share pi_k,
-    so cost_k grows with pi_k; and a word needs a reaching cell to be
-    wrong, so m_k <= pi_k.  Where m_k grows like pi_k, sigma_k / sqrt(cost_k)
-    is the same in every stratum and the rule reduces to n_k ~ w_k.  At
-    a*delta0/a*w/tail = 6.9/6.9/1e-3, interior data, m_k grows faster, so
-    the exact optimum would give stratum 2 0.5% of the words (0.15% here),
-    but stratum 1 carries 99.99% of the variance: with the measured m_k
-    and costs, variance times time is ~2% above the optimum's, against
-    ~10x for an equal split.
+    The run draws ``config.trials`` words (N_CELLS * subtrials_per_stratum
+    when set), split over the strata of positive weight in proportion to w_k
+    (``_allocate``), at least one each, so each keeps its Wilson bound;
+    ``estimate.trials`` equals ``config.trials``.  Neyman's rule (1934)
+    minimises the variance at a given cost by n_k ~ w_k sigma_k /
+    sqrt(cost_k).  A stratum-k word is wrong with chance m_k, so sigma_k^2 =
+    m_k (1 - m_k), near m_k for rare events; ``_tally`` decodes only the
+    words with a reaching cell, a share pi_k, so cost_k grows with pi_k; and
+    a word needs a reaching cell to be wrong, so m_k <= pi_k.  Where m_k
+    grows like pi_k, sigma_k / sqrt(cost_k) is the same in every stratum and
+    the rule reduces to n_k ~ w_k.  At a*delta0/a*w/tail = 6.9/6.9/1e-3,
+    interior data, m_k grows faster, so the exact optimum would give stratum
+    2 0.5% of the words (0.15% here), but stratum 1 carries 99.99% of the
+    variance: with the measured m_k and costs, variance times time is ~2%
+    above the optimum's, against ~10x for an equal split.
     """
     if not config.stratified:
         raise ValueError("config.stratified is not set; use run_trials")
     # k = 0 is never simulated: LevelGrid keeps margin > 0, so interior
     # reads (within width/2) can never cross a decision boundary
     weights = _stratum_weights(config.tail)
-    n_per = config.subtrials_per_stratum or max(config.trials // N_CELLS, 1)
     ks = [k for k in range(1, N_CELLS + 1) if weights[k] > 0.0]
-    work = n_per * len(ks)
-    sizes = dict(zip(ks, _allocate(weights[ks].tolist(), work)))
+    sizes = dict(zip(ks, _allocate(weights[ks].tolist(), config.trials)))
     exactly = np.eye(N_CELLS + 1)  # row k: every word has exactly k tail cells
     rows = _tally(config, [(RngStream(config.seed, 10_000 + k), sizes[k], exactly[k]) for k in ks])
 
@@ -573,14 +576,14 @@ def run_stratified(config: SimConfig) -> BerEstimate:
     # NONE absorbs whatever rate the error classes do not account for
     class_rates[0] = max(1.0 - class_rates[1:].sum(), 0.0)
     return BerEstimate(
-        trials=work,
-        word_error_events=p_hat * work,
-        bit_errors_hamming=ham_rate * work * BITS_PER_WORD,
+        trials=config.trials,
+        word_error_events=p_hat * config.trials,
+        bit_errors_hamming=ham_rate * config.trials * BITS_PER_WORD,
         event_rate_per_bit=p_hat / BITS_PER_WORD,
         hamming_rate=ham_rate,
         ci95=(ci_lo / BITS_PER_WORD, ci_hi / BITS_PER_WORD),
         per_class={
-            c.value: float(class_rates[i] * work) for i, c in enumerate(_CLASS_ORDER)
+            c.value: float(class_rates[i] * config.trials) for i, c in enumerate(_CLASS_ORDER)
         },
         weighted=True,
         strata=tuple(strata),
@@ -589,13 +592,13 @@ def run_stratified(config: SimConfig) -> BerEstimate:
 
 def variance_reduction_factor(est: BerEstimate) -> float:
     """Variance advantage of a stratified run over plain Monte Carlo at
-    equal words drawn, inferred from the run's own per-stratum statistics.
-    Not a speed-up, since a plain run decodes only its ~n pi words with a
-    reaching cell: at a*delta0/a*w/tail = 6.9/6.9/1e-3, interior data,
-    2^18 words per stratum, this reads ~250, about 1 / (1 - w_0) as
-    ``run_stratified`` splits its words by weight, yet the two estimators
-    reach a 10% relative standard error in comparable time (timings in
-    README)."""
+    equal words drawn, ``est.trials``, inferred from the run's own
+    per-stratum statistics.  Not a speed-up, since a plain run decodes only
+    its ~n pi words with a reaching cell: at a*delta0/a*w/tail =
+    6.9/6.9/1e-3, interior data, 2^20 words, this reads ~250, about
+    1 / (1 - w_0) as ``run_stratified`` splits its words by weight, yet the
+    two estimators reach a 10% relative standard error in comparable time
+    (timings in README)."""
     if not est.weighted or est.strata is None:
         raise ValueError("variance_reduction_factor needs a stratified estimate")
     p = est.event_rate_per_bit * BITS_PER_WORD
@@ -604,12 +607,11 @@ def variance_reduction_factor(est: BerEstimate) -> float:
         for s in est.strata
         if s.simulated and s.trials > 0
     )
-    work = sum(s.trials for s in est.strata if s.simulated)
     if p <= 0.0:
         return math.nan
     if var_strat == 0.0:
         return math.inf
-    return (p * (1.0 - p) / work) / var_strat
+    return (p * (1.0 - p) / est.trials) / var_strat
 
 
 def estimate_to_dict(est: BerEstimate, config: SimConfig) -> dict:

@@ -312,9 +312,8 @@ class TestSimulateCommand:
         assert code == 2 and "--shards" in err
 
     def test_stratified_trials_alone_sets_the_stratum_size(self, capsys):
-        # --trials is the budget, --trials / 4 words per stratum on average,
-        # split by stratum weight: at tail 0.1 the weights are 0.2916,
-        # 0.0486, 0.0036 and 0.0001
+        # the run draws --trials words, split by stratum weight, at least
+        # one each: at tail 0.1 the weights are 0.2916, 0.0486, 0.0036 and 0.0001
         doc = run_json(capsys, "simulate", "--a-delta0", "3", "--tail", "0.1",
                        "--stratified", "--trials", "400")
         est = doc["results"]["estimate"]
@@ -329,6 +328,12 @@ class TestSimulateCommand:
         by_trials = run_json(capsys, *point, "--trials", "400")["results"]
         assert by_subtrials["config"]["trials"] == 400
         assert by_subtrials["estimate"] == by_trials["estimate"]
+
+    def test_stratified_needs_a_word_per_stratum(self, capsys):
+        code, err = exit_code(capsys, "simulate", "--a-delta0", "40", "--tail", "0.5",
+                              "--stratified", "--trials", "3")
+        assert code == 2
+        assert err == "norsim: error: trials must be >= 4 in a stratified run, got 3\n"
 
     def test_config_count_is_checked(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -359,6 +359,25 @@ class TestStratified:
             SimConfig(a=1.0, tail=0.1, width=0.5, delta0=4.0, protected=False,
                       trials=1, seed=15, stratified=True)
 
+    @pytest.mark.parametrize("tail, size, words", [
+        (1.0, dict(trials=1001), 1001),
+        (1e-100, dict(trials=1000), 1000),  # the 4-tail-cell weight underflows to 0
+        (1e-3, dict(subtrials_per_stratum=1000), 4000),
+        (0.5, dict(trials=4), 4),
+    ], ids=["tail_1", "tail_1e-100", "subtrials", "a_word_per_stratum"])
+    def test_run_draws_exactly_trials_words(self, tail, size, words):
+        # at a*delta0 = 40 hardly a word reaches, so each run takes milliseconds
+        config = SimConfig(a=1.0, tail=tail, width=1.0, delta0=40.0, seed=30,
+                           stratified=True, **size)
+        est = run_stratified(config)
+        assert est.trials == config.trials == sum(s.trials for s in est.strata) == words
+        assert all(s.trials >= 1 for s in est.strata[1:] if s.weight > 0.0)
+        assert estimate_to_dict(est, config)["config"]["trials"] == est.trials
+
+    def test_fewer_words_than_strata_rejected(self):
+        with pytest.raises(ValueError, match=r"^trials must be >= 4 in a stratified run, got 3$"):
+            SimConfig(a=1.0, tail=0.5, width=1.0, delta0=40.0, trials=3, stratified=True)
+
     def test_variance_reduction_at_small_tail(self):
         cfg = SimConfig(a=1.0, tail=1e-3, width=6.9, delta0=6.9, protected=True,
                         trials=1, seed=16, stratified=True,
